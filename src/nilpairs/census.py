@@ -2,11 +2,15 @@
 
 The exhaustive census enumerates every annihilating-form candidate for a
 given mu, filters the nilpotent ones, and tallies their Jordan shapes.  Two
-routes are provided: a vectorized engine (bit-packed rows over GF(2), batched
-modular matmuls otherwise) and a slow per-matrix reference used to
-cross-check it.  `verify_shapes` is the CLI engine: it additionally computes
-every shape twice (rank-sequence oracle and reduction formulas) and demands
-agreement matrix by matrix.
+routes are provided: a vectorized engine and a slow per-matrix reference
+used to cross-check it.  The engine works on whole batches of candidates:
+over GF(2) with n <= 32 each row is a uint32 bitmask, otherwise each matrix
+is an int64 array (wider GF(2) matrices run there mod 2), and the shapes
+come from the ranks of successive powers, taken by one rank-only batched
+elimination per representation (`_gf2_ranks`, `_gfp_ranks`).
+`verify_shapes` is the CLI engine: it additionally computes every shape
+twice (rank-sequence oracle and reduction formulas) and demands agreement
+matrix by matrix.
 """
 
 from __future__ import annotations
@@ -36,6 +40,12 @@ __all__ = [
 ]
 
 _BATCH = 1 << 18
+_GF2_BITS = 32  # columns a uint32 bit row holds; wider GF(2) runs on int64 mod 2
+_INT64_CELLS = 1 << 24  # matrix entries per int64 batch, so memory stays bounded
+
+
+def _int64_batch(n: int, cap: int) -> int:
+    return max(1, min(cap, _INT64_CELLS // (n * n)))
 
 
 def _shape_from_kernel_dims(dims: list[int], n: int) -> Partition:
@@ -81,19 +91,23 @@ def _gf2_nilpotent_mask(rows: np.ndarray, n: int) -> np.ndarray:
     return ~power.any(axis=1)
 
 
-def _gf2_kernel_dims(rows: np.ndarray, n: int) -> np.ndarray:
-    """Kernel dimension per matrix via vector counting (2^n probes)."""
-    b = rows.shape[0]
-    par = np.zeros(1 << n, dtype=np.uint8)
-    for v in range(1 << n):
-        par[v] = bin(v).count("1") & 1
-    count = np.zeros(b, dtype=np.int64)
-    for v in range(1 << n):
-        in_kernel = np.ones(b, dtype=bool)
-        for i in range(n):
-            in_kernel &= par[rows[:, i] & np.uint32(v)] == 0
-        count += in_kernel
-    return np.round(np.log2(count)).astype(np.int64)
+def _gf2_ranks(rows: np.ndarray, n: int) -> np.ndarray:
+    """Rank of every matrix in a stack of bit rows (B, n) uint32, bit c = column c.
+
+    Forward elimination only: per column, the first row holding the bit
+    becomes the pivot and is XORed into every row holding it, itself
+    included, so a pivot row turns zero and is never picked again.
+    """
+    work = rows.copy()
+    rank = np.zeros(work.shape[0], dtype=np.int64)
+    bidx = np.arange(work.shape[0])
+    for c in range(n):
+        avail = ((work >> np.uint32(c)) & np.uint32(1)).astype(bool)
+        has = avail.any(axis=1)
+        pick = avail.argmax(axis=1)
+        rank += has
+        work ^= np.where(avail, work[bidx, pick][:, None], np.uint32(0))
+    return rank
 
 
 def _gf2_shape_counts(rows: np.ndarray, n: int) -> dict[Partition, int]:
@@ -101,7 +115,7 @@ def _gf2_shape_counts(rows: np.ndarray, n: int) -> dict[Partition, int]:
     dims = []
     power = rows
     for _ in range(n):
-        dims.append(_gf2_kernel_dims(power, n))
+        dims.append(n - _gf2_ranks(power, n))
         if all(d == n for d in dims[-1]):
             break
         power = _gf2_matmul(power, rows, n)
@@ -146,9 +160,33 @@ def _gfp_nilpotent_mask(mats: np.ndarray, n: int, p: int) -> np.ndarray:
     return ~power.any(axis=(1, 2))
 
 
-def _gfp_shape_counts(mats: np.ndarray, n: int, p: int) -> dict[Partition, int]:
-    from .matrix import _batched_rank_modp
+def _gfp_ranks(mats: np.ndarray, p: int) -> np.ndarray:
+    """Rank of every matrix in a stack (B, m, n) int64 over GF(p), p < 2^31.
 
+    Fraction-free forward elimination (row_i <- piv*row_i - a_ic*row_r mod p),
+    so no inverse is taken; every intermediate stays below p^2.  The pivot row
+    is eliminated with the others, to zero, so it is never picked again; rows
+    without an entry in the column are only scaled by the nonzero pivot.
+    """
+    work = mats % p
+    rank = np.zeros(work.shape[0], dtype=np.int64)
+    bidx = np.arange(work.shape[0])
+    for c in range(work.shape[2]):
+        col = work[:, :, c]
+        avail = col != 0
+        has = avail.any(axis=1)
+        if not has.any():
+            continue
+        pick = avail.argmax(axis=1)
+        rank += has
+        factor = np.where(avail, col, 0)
+        prow = work[bidx, pick]
+        piv = np.where(has, prow[:, c], 1)
+        work = (piv[:, None, None] * work - factor[:, :, None] * prow[:, None, :]) % p
+    return rank
+
+
+def _gfp_shape_counts(mats: np.ndarray, n: int, p: int) -> dict[Partition, int]:
     b = mats.shape[0]
     out: dict[Partition, int] = {}
     if b == 0:
@@ -158,7 +196,7 @@ def _gfp_shape_counts(mats: np.ndarray, n: int, p: int) -> dict[Partition, int]:
     alive = np.ones(b, dtype=bool)
     while alive.any():
         r = np.zeros(b, dtype=np.int64)
-        r[alive] = _batched_rank_modp(power[alive], p)
+        r[alive] = _gfp_ranks(power[alive], p)
         ranks.append(np.where(alive, r, 0))
         alive = alive & (r > 0)
         if alive.any():
@@ -194,13 +232,11 @@ def exhaustive_shape_census(
     counts: dict[Partition, int] = {}
     if n == 0:
         return {Partition(): 1}
-    if total <= 4096:
-        # tiny candidate spaces: the per-matrix route is cheaper than the
-        # vectorized engine (whose GF(2) kernel probe costs 2^n per power)
-        return reference_shape_census(mu, field, budget)
-    for start in range(0, total, _BATCH):
-        stop = min(start + _BATCH, total)
-        if p == 2:
+    bits = p == 2 and n <= _GF2_BITS
+    step = _BATCH if bits else _int64_batch(n, _BATCH)
+    for start in range(0, total, step):
+        stop = min(start + step, total)
+        if bits:
             idx = np.arange(start, stop, dtype=np.uint64)
             rows = _gf2_rows_from_indices(idx, free.positions, n, len(free))
             mask = _gf2_nilpotent_mask(rows, n)
@@ -238,10 +274,12 @@ def sampled_shape_census(
     nf = len(free)
     counts: dict[Partition, int] = {}
     nilp_total = 0
-    for start in range(0, samples, _BATCH // 4):
-        stop = min(start + _BATCH // 4, samples)
+    bits = p == 2 and n <= _GF2_BITS
+    step = _BATCH // 4 if bits else _int64_batch(n, _BATCH // 4)
+    for start in range(0, samples, step):
+        stop = min(start + step, samples)
         vals = rng.values_mod_np(seed, start * nf, (stop - start) * nf, p).reshape(stop - start, nf)
-        if p == 2:
+        if bits:
             rows = np.zeros((vals.shape[0], n), dtype=np.uint32)
             for f, (r, c) in enumerate(free.positions):
                 rows[:, r] |= vals[:, f].astype(np.uint32) << np.uint32(c)

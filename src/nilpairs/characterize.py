@@ -16,7 +16,7 @@ from typing import Iterator
 
 from .fields import GF2, FieldSpec
 from .matrix import ExactMatrix, jordan_matrix
-from .partitions import Partition, canonical_sorted, enumerate_partitions, ord_parts, split_core
+from .partitions import Partition, canonical_sorted, enumerate_partitions, offsets, ord_parts, split_core
 
 __all__ = [
     "Certificate",
@@ -262,12 +262,7 @@ def witness(mu: Partition, nu: Partition, field: FieldSpec = GF2) -> WitnessPair
     lam, eps, c = cert.lam, cert.eps, cert.c
     l = len(lam)
 
-    co = [0]
-    for part in core:
-        co.append(co[-1] + part)
-    lo = [0]
-    for part in lam:
-        lo.append(lo[-1] + part)
+    co, lo = offsets(core), offsets(lam)
 
     # suffix2[i] = #{j >= i : eps_j = 2}, 1-based; phi2(i) = suffix2[i + 1]
     suffix2 = [0] * (l + 2)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .matrix import ExactMatrix, block_matrix, jordan_matrix
-from .partitions import Partition, ord_parts
+from .partitions import Partition, equal_runs, offsets, ord_parts
 from .reduction import ReducedPair
 
 __all__ = ["InternalInconsistency", "ChainProfile", "power_blocks", "chain_profile", "rank_formula", "shape_of_reduced"]
@@ -74,16 +74,13 @@ def assemble_power(r: ReducedPair, s: int) -> ExactMatrix:
 def chain_profile(r: ReducedPair) -> ChainProfile:
     """Prefix ranks of X columns / Y rows and the pairing counts f, g."""
     lam = r.lam
-    l = len(lam)
     k = r.k
-    x = r.x_corner()
-    y = r.y_corner()
-    e1 = tuple(x.submatrix(0, k, 0, i).rank() if k else 0 for i in range(l + 1))
-    e2 = tuple(y.submatrix(0, i, 0, k).rank() if k else 0 for i in range(l + 1))
+    e1 = tuple(r.x_corner().column_prefix_ranks())
+    e2 = tuple(r.y_corner().transpose().column_prefix_ranks())
 
     a12, a21 = r.a12(), r.a21()
     j = jordan_matrix(lam, r.field)
-    co = r._core_offsets()
+    co = offsets(r.mu_core)
     f_map: dict[int, int] = {}
     g_map: dict[int, int] = {}
     top = lam[0] if lam else 0
@@ -125,12 +122,8 @@ def shape_of_reduced(r: ReducedPair, profile: ChainProfile | None = None) -> Par
     prof = profile if profile is not None else chain_profile(r)
     lam = r.lam
     lengths: list[int] = []
-    seen: set[int] = set()
-    for part in lam:
-        if part in seen:
-            continue
-        seen.add(part)
-        mult = sum(1 for p in lam if p == part)
+    for j0, j1 in equal_runs(lam):
+        part, mult = lam[j0], j1 - j0
         nf = prof.f.get(part + 1, 0)
         ng = prof.g.get(part + 1, 0)
         rem = mult - nf - ng

@@ -5,8 +5,10 @@ column, topmost nonzero row), kernels, inverses, the Jordan shape of a
 nilpotent matrix via its rank sequence, and exact nilpotent Jordanization
 with an explicit change of basis.
 
-GF(p) arithmetic is routed through numpy int64 kernels when the entries are
-small enough for exact accumulation; rationals always use Fraction.
+Elimination has one exact routine per representation: GF(2) rows are
+bit-packed into Python ints, every other field (GF(p) for any prime, and the
+rationals) runs on Python scalars.  numpy serves only `mul`, as an int64
+product when the entries are small enough for exact accumulation.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import Element, FieldSpec, QQ
-from .partitions import Partition, conjugate
+from .partitions import Partition, conjugate, offsets
 
 __all__ = [
     "ExactMatrix",
@@ -31,9 +33,7 @@ class NotNilpotent(ValueError):
 
 
 def _np_safe(field: FieldSpec, n: int) -> bool:
-    """True if GF(p) products of size n accumulate exactly in int64."""
-    if not field.is_finite or n == 0:
-        return field.is_finite
+    """True if GF(p) products of inner size n accumulate exactly in int64."""
     return n * (field.order - 1) ** 2 < 2**62
 
 
@@ -200,37 +200,30 @@ class ExactMatrix:
 
     # -- elimination -------------------------------------------------------
 
+    def _echelon(self, reduced: bool = False) -> tuple[list[int], list[list[Element]]]:
+        """Pivot columns (leftmost column / topmost row pivoting) and, with
+        reduced=True, the nonzero rows of the reduced row echelon form."""
+        if self.field.p == 2:
+            pivots, bits = _echelon_gf2(_pack_gf2(self.rows), reduced)
+            return pivots, _unpack_gf2(bits, self.ncols)
+        return _echelon_field(self.rows, self.field, reduced)
+
     def rank(self) -> int:
-        """Rank by exact Gaussian elimination, leftmost column / topmost row pivots."""
-        f = self.field
-        if self.nrows == 0 or self.ncols == 0:
-            return 0
-        if f.is_finite and f.order == 2:
-            return _rank_gf2(_pack_gf2(self.rows))
-        if f.is_finite and _np_safe(f, 1):
-            return _rank_gf_np(self.rows, f.order)
-        return _rank_python(self.tolists(), f)
+        """Rank by exact Gaussian elimination."""
+        return len(self._echelon()[0])
 
-    def _rref_rows(self, pivot_limit: int | None = None) -> tuple[list[list[Element]], list[int]]:
-        f = self.field
-        if self.nrows == 0 or self.ncols == 0:
-            return self.tolists(), []
-        if f.is_finite and f.order == 2:
-            bits, pivots = _rref_gf2(_pack_gf2(self.rows), self.ncols, pivot_limit)
-            return _unpack_gf2(bits, self.ncols), pivots
-        if f.is_finite and _np_safe(f, 1):
-            return _rref_gf_np(self.rows, f.order, self.ncols, pivot_limit)
-        return _rref_python(self.tolists(), f, pivot_limit)
-
-    def rref(self) -> tuple["ExactMatrix", list[int]]:
-        """Reduced row echelon form and its pivot columns."""
-        rows, pivots = self._rref_rows()
-        return ExactMatrix(self.field, rows, ncols=self.ncols, _canon=False), pivots
+    def column_prefix_ranks(self) -> list[int]:
+        """[rk(A[:, :i]) for i = 0..ncols] from one echelon: the pivots before column i."""
+        pivots = set(self._echelon()[0])
+        out = [0]
+        for c in range(self.ncols):
+            out.append(out[-1] + (c in pivots))
+        return out
 
     def kernel_basis(self) -> list[list[Element]]:
         """Deterministic basis of the right kernel (free columns set to one)."""
         f = self.field
-        rows, pivots = self._rref_rows()
+        pivots, rows = self._echelon(reduced=True)
         pivot_set = set(pivots)
         basis = []
         one, zero = f.one(), f.zero()
@@ -256,7 +249,9 @@ class ExactMatrix:
             [list(r) + [f.one() if i == j else f.zero() for j in range(n)] for i, r in enumerate(self.rows)],
             _canon=False,
         )
-        rows, pivots = aug._rref_rows(pivot_limit=n)
+        # [A | I] has the pivots 0..n-1 exactly when A is invertible; its
+        # reduced form is then [I | A^-1]
+        pivots, rows = aug._echelon(reduced=True)
         if pivots != list(range(n)):
             raise ValueError("matrix is singular")
         return ExactMatrix(f, [r[n:] for r in rows], _canon=False)
@@ -269,42 +264,24 @@ class ExactMatrix:
         if not self.is_square():
             raise ValueError("rank sequence of a non-square matrix")
         n = self.nrows
+        seq = [n]
         if n == 0:
-            return [0]
-        f = self.field
-        if f.is_finite and f.order == 2:
-            seq = [n]
+            return seq
+        if self.field.p == 2:
             bits = _pack_gf2(self.rows)
             power = bits
             for _ in range(n):
-                r = _rank_gf2(power)
-                seq.append(r)
-                if r == 0:
+                seq.append(len(_echelon_gf2(power)[0]))
+                if seq[-1] == 0:
                     return seq
-                power = _mul_gf2(power, bits, n)
-            raise NotNilpotent("matrix is not nilpotent")
-        if f.is_finite and _np_safe(f, n):
-            p = f.order
-            a = np.array(self.rows, dtype=np.int64)
-            powers = []
-            power = a
+                power = _mul_gf2(power, bits)
+        else:
+            power = self
             for _ in range(n):
-                powers.append(power)
-                if not power.any():
-                    break
-                power = (power @ a) % p
-            else:
-                raise NotNilpotent("matrix is not nilpotent")
-            ranks = _batched_rank_modp(np.stack(powers), p)
-            return [n] + [int(r) for r in ranks]
-        seq = [n]
-        power = self
-        for _ in range(n):
-            r = power.rank()
-            seq.append(r)
-            if r == 0:
-                return seq
-            power = power.mul(self)
+                seq.append(len(_echelon_field(power.rows, self.field)[0]))
+                if seq[-1] == 0:
+                    return seq
+                power = power.mul(self)
         raise NotNilpotent("matrix is not nilpotent")
 
     def is_nilpotent(self) -> bool:
@@ -335,57 +312,95 @@ class ExactMatrix:
 
 # -- elimination kernels ----------------------------------------------------
 #
-# GF(2) matrices are bit-packed into one int per row (LSB = column 0), which
-# keeps the brute-force harness and the reduction pipeline cheap; other prime
-# fields use numpy int64 row operations; the rationals use plain Fractions.
+# One echelon routine per representation: GF(2) rows bit-packed into one int
+# each (LSB = column 0), every other field on Python scalars.  Both feed the
+# rows in order into a table keyed by the leading column of each reduced row,
+# so the keys are the pivot columns of leftmost-column pivoting (column c is
+# a pivot iff it is not in the span of the columns before it) and the rank is
+# the table's size.  Only callers that need the reduced row echelon form pay
+# for the back-substitution.
 
 
 def _pack_gf2(rows) -> list[int]:
     return [sum(1 << j for j, v in enumerate(row) if v) for row in rows]
 
 
-def _rank_gf2(bits: list[int]) -> int:
+def _unpack_gf2(bits: list[int], ncols: int) -> list[list[int]]:
+    return [[(b >> j) & 1 for j in range(ncols)] for b in bits]
+
+
+def _echelon_gf2(bits: list[int], reduced: bool = False) -> tuple[list[int], list[int]]:
+    """Pivot columns of bit rows and, with reduced=True, the RREF rows (one per pivot)."""
     table: dict[int, int] = {}
-    rank = 0
     for b in bits:
         while b:
             c = (b & -b).bit_length() - 1
             other = table.get(c)
             if other is None:
                 table[c] = b
-                rank += 1
                 break
             b ^= other
-    return rank
+    pivots = sorted(table)
+    if not reduced:
+        return pivots, []
+    for i in range(len(pivots) - 2, -1, -1):
+        row = table[pivots[i]]
+        for d in pivots[i + 1 :]:
+            if (row >> d) & 1:
+                row ^= table[d]
+        table[pivots[i]] = row
+    return pivots, [table[c] for c in pivots]
 
 
-def _rref_gf2(bits: list[int], ncols: int, pivot_limit: int | None = None) -> tuple[list[int], list[int]]:
-    rows = list(bits)
-    m = len(rows)
-    limit = ncols if pivot_limit is None else pivot_limit
-    pivots: list[int] = []
-    r = 0
-    for c in range(limit):
-        if r == m:
-            break
-        idx = next((i for i in range(r, m) if (rows[i] >> c) & 1), None)
-        if idx is None:
-            continue
-        rows[r], rows[idx] = rows[idx], rows[r]
-        pr = rows[r]
-        for i in range(m):
-            if i != r and (rows[i] >> c) & 1:
-                rows[i] ^= pr
-        pivots.append(c)
-        r += 1
-    return rows, pivots
+def _echelon_field(rows, f: FieldSpec, reduced: bool = False) -> tuple[list[int], list[list[Element]]]:
+    """Pivot columns of rows over GF(p) or QQ and, with reduced=True, the RREF rows.
+
+    Table rows are scaled to a leading one, so the only inverses taken are
+    one field inverse per pivot.
+    """
+    p = f.order if f.is_finite else None
+
+    def sub_multiple(v, a, w):  # v - a*w
+        if p is None:
+            return [x - a * y if y else x for x, y in zip(v, w)]
+        return [(x - a * y) % p if y else x for x, y in zip(v, w)]
+
+    def scaled(v, a):  # a*v
+        if p is None:
+            return [a * x if x else x for x in v]
+        return [a * x % p for x in v]
+
+    table: dict[int, list[Element]] = {}
+    for v in rows:
+        c = _lead(v, 0)
+        while c is not None:
+            other = table.get(c)
+            if other is None:
+                table[c] = scaled(v, f.inv(v[c]))
+                break
+            v = sub_multiple(v, v[c], other)
+            c = _lead(v, c + 1)
+    pivots = sorted(table)
+    if not reduced:
+        return pivots, []
+    for i in range(len(pivots) - 2, -1, -1):
+        row = table[pivots[i]]
+        for d in pivots[i + 1 :]:
+            if row[d]:
+                row = sub_multiple(row, row[d], table[d])
+        table[pivots[i]] = row
+    return pivots, [table[c] for c in pivots]
 
 
-def _unpack_gf2(bits: list[int], ncols: int) -> list[list[int]]:
-    return [[(b >> j) & 1 for j in range(ncols)] for b in bits]
+def _lead(v, start: int) -> int | None:
+    """Index of the first nonzero entry of v at or after start."""
+    for i in range(start, len(v)):
+        if v[i]:
+            return i
+    return None
 
 
-def _mul_gf2(a_bits: list[int], b_bits: list[int], n: int) -> list[int]:
+def _mul_gf2(a_bits: list[int], b_bits: list[int]) -> list[int]:
     out = []
     for ab in a_bits:
         acc = 0
@@ -397,154 +412,6 @@ def _mul_gf2(a_bits: list[int], b_bits: list[int], n: int) -> list[int]:
     return out
 
 
-def _batched_rref_modp(mats: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized Gauss-Jordan over GF(p) for a stack of matrices.
-
-    mats is (B, m, n) int64; returns (rref stack, pivot-column mask (B, n)).
-    """
-    work = mats % p
-    b, m, n = work.shape
-    pivmask = np.zeros((b, n), dtype=bool)
-    if b == 0 or m == 0 or n == 0:
-        return work, pivmask
-    inv_table = np.array([0] + [pow(i, p - 2, p) for i in range(1, p)], dtype=np.int64)
-    pivot_row = np.zeros(b, dtype=np.int64)
-    bidx = np.arange(b)
-    rowidx = np.arange(m)[None, :]
-    for col in range(n):
-        colvals = work[:, :, col]
-        avail = (rowidx >= pivot_row[:, None]) & (colvals != 0)
-        has = avail.any(axis=1)
-        if not has.any():
-            continue
-        pick = np.where(has, avail.argmax(axis=1), 0)
-        pr = pivot_row
-        tmp = work[bidx, pick].copy()
-        sel = bidx[has]
-        work[sel, pick[has]] = work[sel, pr[has]]
-        work[sel, pr[has]] = tmp[has]
-        pivinv = inv_table[work[bidx, pr, col]]
-        work[sel, pr[has]] = (work[sel, pr[has]] * pivinv[has, None]) % p
-        colnow = work[:, :, col]
-        elim = (rowidx != pr[:, None]) & (colnow != 0) & has[:, None]
-        factor = np.where(elim, colnow, 0)
-        work = (work - factor[:, :, None] * work[bidx, pr][:, None, :]) % p
-        pivmask[:, col] = has
-        pivot_row += has
-    return work, pivmask
-
-
-def _batched_rank_modp(mats: np.ndarray, p: int) -> np.ndarray:
-    """Ranks of a stack of matrices over GF(p); mats is (B, m, n) int64 mod p."""
-    _, pivmask = _batched_rref_modp(mats, p)
-    return pivmask.sum(axis=1).astype(np.int64)
-
-
-def _rank_gf_np(rows, p: int) -> int:
-    a = np.array(rows, dtype=np.int64) % p
-    m, n = a.shape
-    r = 0
-    for col in range(n):
-        if r == m:
-            break
-        nz = np.nonzero(a[r:, col])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        inv = pow(int(a[r, col]), p - 2, p)
-        below = a[r + 1 :, col]
-        mask = below != 0
-        if mask.any():
-            factors = (below[mask] * inv) % p
-            a[r + 1 :][mask] = (a[r + 1 :][mask] - factors[:, None] * a[r][None, :]) % p
-        r += 1
-    return r
-
-
-def _rref_gf_np(
-    rows, p: int, ncols: int, pivot_limit: int | None = None
-) -> tuple[list[list[int]], list[int]]:
-    a = np.array(rows, dtype=np.int64).reshape(len(rows), ncols) % p
-    m, n = a.shape
-    limit = n if pivot_limit is None else pivot_limit
-    r = 0
-    pivots: list[int] = []
-    for col in range(limit):
-        if r == m:
-            break
-        nz = np.nonzero(a[r:, col])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        pv = int(a[r, col])
-        if pv != 1:
-            a[r] = (a[r] * pow(pv, p - 2, p)) % p
-        col_vals = a[:, col].copy()
-        col_vals[r] = 0
-        mask = col_vals != 0
-        if mask.any():
-            a[mask] = (a[mask] - col_vals[mask, None] * a[r][None, :]) % p
-        pivots.append(col)
-        r += 1
-    return a.tolist(), pivots
-
-
-def _rank_python(rows: list[list[Element]], f: FieldSpec) -> int:
-    m = len(rows)
-    n = len(rows[0]) if rows else 0
-    zero = f.zero()
-    r = 0
-    for col in range(n):
-        if r == m:
-            break
-        pivot = next((i for i in range(r, m) if rows[i][col] != zero), None)
-        if pivot is None:
-            continue
-        if pivot != r:
-            rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = f.inv(rows[r][col])
-        for i in range(r + 1, m):
-            v = rows[i][col]
-            if v != zero:
-                factor = f.mul(v, inv)
-                rows[i] = [f.sub(x, f.mul(factor, y)) for x, y in zip(rows[i], rows[r])]
-        r += 1
-    return r
-
-
-def _rref_python(
-    rows: list[list[Element]], f: FieldSpec, pivot_limit: int | None = None
-) -> tuple[list[list[Element]], list[int]]:
-    m = len(rows)
-    n = len(rows[0]) if rows else 0
-    limit = n if pivot_limit is None else pivot_limit
-    zero = f.zero()
-    pivots: list[int] = []
-    r = 0
-    for col in range(limit):
-        if r == m:
-            break
-        pivot = next((i for i in range(r, m) if rows[i][col] != zero), None)
-        if pivot is None:
-            continue
-        if pivot != r:
-            rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = f.inv(rows[r][col])
-        if rows[r][col] != f.one():
-            rows[r] = [f.mul(inv, x) for x in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][col] != zero:
-                factor = rows[i][col]
-                rows[i] = [f.sub(x, f.mul(factor, y)) for x, y in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-    return rows, pivots
-
-
 # -- Jordan machinery ---------------------------------------------------------
 
 
@@ -553,50 +420,10 @@ def jordan_matrix(shape: Partition, field: FieldSpec = QQ) -> ExactMatrix:
     n = shape.n
     m = [[field.zero()] * n for _ in range(n)]
     one = field.one()
-    off = 0
-    for part in shape:
+    for off, part in zip(offsets(shape), shape):
         for i in range(part - 1):
             m[off + i][off + i + 1] = one
-        off += part
     return ExactMatrix(field, m, _canon=False)
-
-
-class _SpanTracker:
-    """Incremental echelon basis used for independence tests."""
-
-    def __init__(self, field: FieldSpec):
-        self.field = field
-        self.rows: dict[int, list[Element]] = {}
-        self._p = field.order if field.is_finite else None
-
-    def add(self, vec: list[Element]) -> bool:
-        p = self._p
-        v = list(vec)
-        if p is not None:
-            while True:
-                piv = next((i for i, x in enumerate(v) if x), None)
-                if piv is None:
-                    return False
-                row = self.rows.get(piv)
-                if row is None:
-                    inv = pow(v[piv], p - 2, p)
-                    self.rows[piv] = [(inv * x) % p for x in v]
-                    return True
-                factor = v[piv]
-                v = [(x - factor * y) % p for x, y in zip(v, row)]
-        f = self.field
-        zero = f.zero()
-        while True:
-            piv = next((i for i, x in enumerate(v) if x != zero), None)
-            if piv is None:
-                return False
-            row = self.rows.get(piv)
-            if row is None:
-                inv = f.inv(v[piv])
-                self.rows[piv] = [f.mul(inv, x) for x in v]
-                return True
-            factor = v[piv]
-            v = [f.sub(x, f.mul(factor, y)) for x, y in zip(v, row)]
 
 
 def jordanize_nilpotent(m: ExactMatrix, validate: bool = False) -> tuple[ExactMatrix, Partition]:
@@ -612,33 +439,31 @@ def jordanize_nilpotent(m: ExactMatrix, validate: bool = False) -> tuple[ExactMa
     if n == 0:
         return ExactMatrix.identity(f, 0), Partition()
 
-    if f.is_finite and _np_safe(f, n):
-        kernels, apply_power = _kernel_tower_gf(m)
-    else:
-        kernels, apply_power = _kernel_tower_generic(m)
-    q = len(kernels) - 1  # nilpotency index
+    powers = [ExactMatrix.identity(f, n)]
+    while not powers[-1].is_zero():
+        if len(powers) > n:
+            raise NotNilpotent("matrix is not nilpotent")
+        powers.append(powers[-1].mul(m))
+    q = len(powers) - 1  # nilpotency index
+    kernels = [[]] + [powers[i].kernel_basis() for i in range(1, q + 1)]
 
+    # a level's new chain heads are the vectors of K_level outside the span of
+    # K_(level-1), the images of the longer chains, and the heads chosen before
+    # them: the pivot columns of [K_(level-1) | images | K_level]
     heads: list[tuple[list[Element], int]] = []  # (vector, chain length)
     for level in range(q, 0, -1):
-        tracker = _SpanTracker(f)
-        for v in kernels[level - 1]:
-            tracker.add(v)
-        for h, lev in heads:
-            tracker.add(apply_power(lev - level, h))
-        for v in kernels[level]:
-            if tracker.add(v):
-                heads.append((v, level))
+        cols = kernels[level - 1] + [powers[lev - level].matvec(h) for h, lev in heads]
+        start = len(cols)
+        cols += kernels[level]
+        pivots, _ = ExactMatrix(f, list(zip(*cols)), ncols=len(cols), _canon=False)._echelon()
+        heads.extend((kernels[level][c - start], level) for c in pivots if c >= start)
 
-    chains = []
-    for h, lev in heads:
-        chains.append([apply_power(lev - 1 - i, h) for i in range(lev)])
+    chains = [[powers[lev - 1 - i].matvec(h) for i in range(lev)] for h, lev in heads]
     chains.sort(key=len, reverse=True)
 
-    cols: list[list[Element]] = []
-    for chain in chains:
-        cols.extend(chain)
+    cols = [v for chain in chains for v in chain]
     p_mat = ExactMatrix(f, [[cols[j][i] for j in range(n)] for i in range(n)], _canon=False)
-    shape = Partition(sorted((len(c) for c in chains), reverse=True))
+    shape = Partition(len(c) for c in chains)
 
     if validate:
         j = jordan_matrix(shape, f)
@@ -647,62 +472,10 @@ def jordanize_nilpotent(m: ExactMatrix, validate: bool = False) -> tuple[ExactMa
     return p_mat, shape
 
 
-def _kernel_tower_generic(m: ExactMatrix):
-    n = m.nrows
-    powers = [ExactMatrix.identity(m.field, n)]
-    while not powers[-1].is_zero():
-        if len(powers) > n:
-            raise NotNilpotent("matrix is not nilpotent")
-        powers.append(powers[-1].mul(m))
-    kernels = [[]] + [powers[i].kernel_basis() for i in range(1, len(powers))]
-
-    def apply_power(e: int, v: list[Element]) -> list[Element]:
-        return powers[e].matvec(v)
-
-    return kernels, apply_power
-
-
-def _kernel_tower_gf(m: ExactMatrix):
-    """Kernel bases of all powers via one batched elimination (GF(p) fast path)."""
-    n = m.nrows
-    p = m.field.order
-    a = np.array(m.rows, dtype=np.int64) % p
-    powers = [np.eye(n, dtype=np.int64)]
-    while powers[-1].any():
-        if len(powers) > n:
-            raise NotNilpotent("matrix is not nilpotent")
-        powers.append((powers[-1] @ a) % p)
-    q = len(powers) - 1
-    rrefs, pivmask = _batched_rref_modp(np.stack(powers[1:]), p)
-    kernels: list[list[list[int]]] = [[]]
-    for idx in range(q):
-        rr = rrefs[idx]
-        piv = np.nonzero(pivmask[idx])[0]
-        basis = []
-        piv_list = [int(c) for c in piv]
-        piv_set = set(piv_list)
-        for free in range(n):
-            if free in piv_set:
-                continue
-            v = [0] * n
-            v[free] = 1
-            for r, pc in enumerate(piv_list):
-                v[pc] = int(-rr[r][free]) % p
-            basis.append(v)
-        kernels.append(basis)
-
-    def apply_power(e: int, v: list[int]) -> list[int]:
-        out = (powers[e] @ np.array(v, dtype=np.int64)) % p
-        return [int(x) for x in out]
-
-    return kernels, apply_power
-
-
 def batched_rank_sequences(mats: list[ExactMatrix]) -> list[list[int]]:
-    """Rank sequences of several nilpotent matrices, batched over one elimination.
+    """Rank sequences of several nilpotent matrices.
 
-    All matrices must be square over the same field.  Falls back to
-    per-matrix computation outside the GF(p) fast path.
+    All matrices must be square, of one size and over one field.
     """
     if not mats:
         return []
@@ -710,33 +483,7 @@ def batched_rank_sequences(mats: list[ExactMatrix]) -> list[list[int]]:
     n = mats[0].nrows
     if any(m.field != f or m.nrows != n or m.ncols != n for m in mats):
         raise ValueError("batched_rank_sequences needs same-size square matrices over one field")
-    if n == 0:
-        return [[0] for _ in mats]
-    if not (f.is_finite and _np_safe(f, n)):
-        return [m.rank_sequence() for m in mats]
-    p = f.order
-    all_powers: list[np.ndarray] = []
-    counts: list[int] = []
-    for m in mats:
-        a = np.array(m.rows, dtype=np.int64)
-        cur = a
-        cnt = 0
-        for _ in range(n):
-            all_powers.append(cur)
-            cnt += 1
-            if not cur.any():
-                break
-            cur = (cur @ a) % p
-        else:
-            raise NotNilpotent("matrix is not nilpotent")
-        counts.append(cnt)
-    ranks = _batched_rank_modp(np.stack(all_powers), p)
-    out: list[list[int]] = []
-    pos = 0
-    for cnt in counts:
-        out.append([n] + [int(r) for r in ranks[pos : pos + cnt]])
-        pos += cnt
-    return out
+    return [m.rank_sequence() for m in mats]
 
 
 def block_matrix(field: FieldSpec, blocks: list[list[ExactMatrix]]) -> ExactMatrix:

@@ -1,4 +1,5 @@
-"""Integer partitions: construction, conjugation, enumeration, core/ones split.
+"""Integer partitions: construction, conjugation, enumeration, core/ones split,
+block offsets and runs of equal parts.
 
 Partitions are the shapes of nilpotent matrices throughout this package.
 The canonical enumeration and sort order is reverse lexicographic, i.e.
@@ -9,7 +10,7 @@ tuple comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 
 class Partition(tuple):
@@ -85,9 +86,25 @@ def enumerate_partitions(n: int) -> list[Partition]:
     return out
 
 
-def iter_partitions(n: int) -> Iterator[Partition]:
-    """Iterator variant of enumerate_partitions (same order)."""
-    return iter(enumerate_partitions(n))
+def offsets(p: Partition) -> tuple[int, ...]:
+    """Block offsets of the parts: (0, p1, p1+p2, ..., n), one more than len(p)."""
+    out = [0]
+    for part in p:
+        out.append(out[-1] + part)
+    return tuple(out)
+
+
+def equal_runs(p: Partition) -> list[tuple[int, int]]:
+    """Maximal runs of equal parts as half-open index ranges [j0, j1), in order."""
+    runs = []
+    j0 = 0
+    while j0 < len(p):
+        j1 = j0 + 1
+        while j1 < len(p) and p[j1] == p[j0]:
+            j1 += 1
+        runs.append((j0, j1))
+        j0 = j1
+    return runs
 
 
 def split_core(p: Partition) -> CoreSplit:

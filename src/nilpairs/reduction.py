@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .fields import FieldSpec
 from .matrix import ExactMatrix, batched_rank_sequences, jordan_matrix, jordanize_nilpotent
-from .partitions import Partition, from_core, split_core
+from .partitions import Partition, equal_runs, from_core, offsets, split_core
 from .structure import BlockGrid, matches_annihilating_pattern
 
 __all__ = [
@@ -156,18 +156,6 @@ class ReducedPair:
     def field(self) -> FieldSpec:
         return self.matrix.field
 
-    def _core_offsets(self) -> list[int]:
-        off = [0]
-        for part in self.mu_core:
-            off.append(off[-1] + part)
-        return off
-
-    def _lam_offsets(self) -> list[int]:
-        off = [0]
-        for part in self.lam:
-            off.append(off[-1] + part)
-        return off
-
     def a11(self) -> ExactMatrix:
         b = self.n - self.ones
         return self.matrix.submatrix(0, b, 0, b)
@@ -186,20 +174,20 @@ class ReducedPair:
 
     def x_corner(self) -> ExactMatrix:
         """k x l matrix of A12 corner entries (first core row, first lambda column)."""
-        co, lo = self._core_offsets(), self._lam_offsets()
+        co, lo = offsets(self.mu_core), offsets(self.lam)
         b = self.n - self.ones
         rows = [[self.matrix.rows[co[t]][b + lo[j]] for j in range(len(self.lam))] for t in range(self.k)]
-        return ExactMatrix(self.field, rows, _canon=False)
+        return ExactMatrix(self.field, rows, ncols=len(self.lam), _canon=False)
 
     def y_corner(self) -> ExactMatrix:
         """l x k matrix of A21 corner entries (last lambda row, last core column)."""
-        co, lo = self._core_offsets(), self._lam_offsets()
+        co, lo = offsets(self.mu_core), offsets(self.lam)
         b = self.n - self.ones
         rows = [
             [self.matrix.rows[b + lo[j + 1] - 1][co[t + 1] - 1] for t in range(self.k)]
             for j in range(len(self.lam))
         ]
-        return ExactMatrix(self.field, rows, _canon=False)
+        return ExactMatrix(self.field, rows, ncols=self.k, _canon=False)
 
     def to_json_dict(self) -> dict:
         from .partitions import format_partition
@@ -288,12 +276,7 @@ def reduce(a: ExactMatrix, mu: Partition, validate: bool = True, _stage_hook=Non
 
     _stage("jordanize-a22")
 
-    co = [0]
-    for part in core:
-        co.append(co[-1] + part)
-    lo = [0]
-    for part in lam:
-        lo.append(lo[-1] + part)
+    co, lo = offsets(core), offsets(lam)
 
     def core_first(t: int) -> int:
         return co[t]
@@ -371,12 +354,8 @@ def reduce(a: ExactMatrix, mu: Partition, validate: bool = True, _stage_hook=Non
 
     # stage 4: within each run of equal lambda parts, move pivot columns first
     pivot_cols = {pc for _, pc in pivots}
-    j0 = 0
-    while j0 < l:
-        j1 = j0
-        while j1 + 1 < l and lam[j1 + 1] == lam[j0]:
-            j1 += 1
-        run = list(range(j0, j1 + 1))
+    for j0, j1 in equal_runs(lam):
+        run = list(range(j0, j1))
         desired = [c for c in run if c in pivot_cols] + [c for c in run if c not in pivot_cols]
         slot_content = list(run)  # slot position -> original column living there
         for pos, want in enumerate(desired):
@@ -386,7 +365,6 @@ def reduce(a: ExactMatrix, mu: Partition, validate: bool = True, _stage_hook=Non
                 for i in range(lam[j0]):
                     _conj_swap(work, tw, ti, lam_pos(b1, i), lam_pos(b2, i))
                 slot_content[pos], slot_content[cur] = slot_content[cur], slot_content[pos]
-        j0 = j1 + 1
 
     _stage("reorder-runs")
 
@@ -463,12 +441,7 @@ def is_reduced(a: ExactMatrix, mu: Partition, lam: Partition) -> bool:
     l = len(lam)
     base = n - m
 
-    co = [0]
-    for part in core:
-        co.append(co[-1] + part)
-    lo = [0]
-    for part in lam:
-        lo.append(lo[-1] + part)
+    co, lo = offsets(core), offsets(lam)
 
     # A22 == J_lambda
     j_lam = jordan_matrix(lam, f)
@@ -491,24 +464,13 @@ def is_reduced(a: ExactMatrix, mu: Partition, lam: Partition) -> bool:
                 if v != one:
                     return False
                 nonzeros += 1
-    x_mat = ExactMatrix(f, x_rows, _canon=False) if k and l else None
-    x_rank = x_mat.rank() if x_mat is not None else 0
-    if nonzeros != x_rank:
+    e1 = ExactMatrix(f, x_rows, ncols=l, _canon=False).column_prefix_ranks()
+    if nonzeros != e1[l]:
         return False
 
     # prefix-rank conditions per run of equal lambda parts
-    e1 = [0] * (l + 1)
-    if x_mat is not None:
-        for i in range(1, l + 1):
-            e1[i] = x_mat.submatrix(0, k, 0, i).rank()
-    elif l:
-        e1 = [0] * (l + 1)
-    j0 = 0
-    while j0 < l:
-        j1 = j0
-        while j1 + 1 < l and lam[j1 + 1] == lam[j0]:
-            j1 += 1
-        s = j1 - j0 + 1
+    for j0, j1 in equal_runs(lam):
+        s = j1 - j0
         t1 = j0 + 1  # 1-based index of the first run column
         ok = False
         for i in range(0, s + 1):
@@ -519,7 +481,6 @@ def is_reduced(a: ExactMatrix, mu: Partition, lam: Partition) -> bool:
                 break
         if not ok:
             return False
-        j0 = j1 + 1
 
     # A21 supported on corner grid only, corner matrix in column echelon form
     last_rows = {base + lo[j + 1] - 1: j for j in range(l)}

@@ -15,7 +15,7 @@ from typing import Iterator
 from . import rng
 from .fields import FieldSpec
 from .matrix import ExactMatrix, jordan_matrix
-from .partitions import Partition, split_core
+from .partitions import Partition, offsets, split_core
 
 __all__ = [
     "BlockGrid",
@@ -54,11 +54,11 @@ class BlockGrid:
 
     @property
     def row_offsets(self) -> tuple[int, ...]:
-        return _offsets(self.row_partition)
+        return offsets(self.row_partition)
 
     @property
     def col_offsets(self) -> tuple[int, ...]:
-        return _offsets(self.col_partition)
+        return offsets(self.col_partition)
 
     def row_index(self, block: int, pos: int) -> int:
         """Absolute 0-based row of 1-based (block, pos)."""
@@ -66,13 +66,6 @@ class BlockGrid:
 
     def col_index(self, block: int, pos: int) -> int:
         return self.col_offsets[block - 1] + pos - 1
-
-
-def _offsets(p: Partition) -> tuple[int, ...]:
-    out = [0]
-    for part in p:
-        out.append(out[-1] + part)
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -91,7 +84,7 @@ def free_coordinates(mu: Partition) -> FreeCoordinates:
     split = split_core(mu)
     core, m = split.core, split.ones
     k = len(core)
-    off = _offsets(core)
+    off = offsets(core)
     n = mu.n
     base = n - m  # ones block start
     pos: list[tuple[int, int]] = []
@@ -128,7 +121,7 @@ def matches_commuting_pattern(a: ExactMatrix, mu: Partition) -> bool:
     q - p >= c - min(r, c), with constant values along each diagonal.
     """
     _require_size(a, mu)
-    off = _offsets(mu)
+    off = offsets(mu)
     t = len(mu)
     for bi in range(t):
         for bj in range(t):

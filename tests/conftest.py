@@ -1,6 +1,11 @@
-"""Shared fixtures: the mu=(3,3,2,1^8), lambda=(3,2,2,1) worked example."""
+"""Shared fixtures: the mu=(3,3,2,1^8), lambda=(3,2,2,1) worked example.
+
+Also loads a derandomized Hypothesis profile with a bounded example count,
+so the property tests draw the same examples on every run.
+"""
 
 import pytest
+from hypothesis import settings
 
 from nilpairs.fields import GF, QQ, FieldSpec
 from nilpairs.matrix import ExactMatrix
@@ -8,6 +13,9 @@ from nilpairs.partitions import Partition, parse_partition
 
 MU_FIXTURE = parse_partition("3,3,2,1^8")
 LAM_FIXTURE = parse_partition("3,2,2,1")
+
+settings.register_profile("nilpairs", derandomize=True, database=None, max_examples=40, deadline=None)
+settings.load_profile("nilpairs")
 
 
 def reduced_fixture(field: FieldSpec = QQ) -> ExactMatrix:

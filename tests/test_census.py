@@ -1,6 +1,10 @@
+import numpy as np
 import pytest
 
+from nilpairs import census
 from nilpairs.census import (
+    _gf2_ranks,
+    _gfp_ranks,
     exhaustive_shape_census,
     reference_shape_census,
     sampled_shape_census,
@@ -8,8 +12,9 @@ from nilpairs.census import (
 )
 from nilpairs.characterize import enumerate_shapes
 from nilpairs.fields import GF2, GF3, GF
+from nilpairs.matrix import ExactMatrix
 from nilpairs.partitions import Partition, enumerate_partitions, parse_partition
-from nilpairs.structure import BudgetExceeded, candidate_count, sample_candidate
+from nilpairs.structure import BudgetExceeded, candidate_count, free_coordinates, sample_candidate
 
 
 def test_vectorized_census_matches_reference():
@@ -124,3 +129,85 @@ def test_verify_mismatch_encoding(monkeypatch):
     rep = verify_shapes(parse_partition("2,2"), GF2, mode="exhaustive")
     assert rep.verdict == "mismatch"
     assert rep.details.get("missing")
+
+
+def _gl_order(m: int, q: int) -> int:
+    out = 1
+    for i in range(m):
+        out *= q**m - q**i
+    return out
+
+
+def _nilpotent_class_size(shape: Partition, q: int) -> int:
+    """|GL_n(q)| / |centralizer of J_shape| (Macdonald's formula)."""
+    conj = [sum(1 for x in shape if x >= i) for i in range(1, (shape[0] if shape else 0) + 1)]
+    mults = [sum(1 for x in shape if x == v) for v in set(shape)]
+    centralizer = q ** (sum(c * c for c in conj) - sum(m * m for m in mults))
+    for m in mults:
+        centralizer *= _gl_order(m, q)
+    return _gl_order(shape.n, q) // centralizer
+
+
+def test_vectorized_census_class_sizes():
+    # 1^n enumerates every n x n matrix, so each shape count is a class size
+    for n, field in ((3, GF2), (4, GF2), (3, GF3)):
+        mu = Partition([1] * n)
+        expected = {s: _nilpotent_class_size(s, field.order) for s in enumerate_partitions(n)}
+        assert exhaustive_shape_census(mu, field) == expected
+
+
+def test_vectorized_census_counts_match_reference():
+    mu = parse_partition("2,1")
+    assert candidate_count(mu, GF(11)) == 14641
+    assert exhaustive_shape_census(mu, GF(11)) == reference_shape_census(mu, GF(11))
+    # an annihilating-form matrix is nilpotent iff its ones block is:
+    # p^(F - m) of them (Fine-Herstein on the m x m block)
+    mu = parse_partition("2,1,1,1")
+    counts = exhaustive_shape_census(mu, GF2)
+    assert sum(counts.values()) == 2 ** (len(free_coordinates(mu)) - 3)
+    assert set(counts) == set(enumerate_shapes(mu))
+
+
+def test_census_gf2_wider_than_a_bit_row(monkeypatch):
+    # n > 32 does not fit a uint32 bit row; (33) has candidates {0, E_(0,32)}
+    assert exhaustive_shape_census(Partition([33]), GF2) == {
+        Partition([1] * 33): 1,
+        Partition([2] + [1] * 31): 1,
+    }
+    monkeypatch.setattr(census, "_INT64_CELLS", 100 * 33 * 33)  # 512 candidates in 6 batches
+    for text in ("17,17", "30,1,1", "11,11,11"):  # 30,1,1: n = 32, the widest bit row
+        mu = parse_partition(text)
+        assert exhaustive_shape_census(mu, GF2) == reference_shape_census(mu, GF2), text
+    mu = parse_partition("11,11,11")
+    counts, nilp = sampled_shape_census(mu, GF2, 40, seed=3)
+    ref: dict = {}
+    for i in range(40):
+        c = sample_candidate(mu, GF2, 3, index=i)
+        if c.is_nilpotent():
+            s = c.nilpotent_shape()
+            ref[s] = ref.get(s, 0) + 1
+    assert counts == ref and nilp == sum(ref.values())
+
+
+def _rank_test_stack(rnd: np.random.Generator, n: int, p: int) -> np.ndarray:
+    """Random members plus zero, nilpotent, full-rank and low-rank ones."""
+    mats = rnd.integers(0, p, size=(24, n, n), dtype=np.int64)
+    mats[0] = 0
+    mats[1] = np.triu(mats[1], 1)  # strictly upper triangular: nilpotent
+    mats[2] = np.triu(mats[2], 1) + np.eye(n, dtype=np.int64)  # unit triangular: full rank
+    mats[3] = (mats[3][:, :1] * mats[4][:1, :]) % p  # rank <= 1
+    mats[4] = mats[5] * (rnd.integers(0, 4, size=(n, n)) == 0)  # sparse
+    return mats
+
+
+def test_batched_rank_routines_match_exact_rank():
+    rnd = np.random.default_rng(2024)
+    for p in (2, 3, 11, 32003, 2**31 - 1):
+        for n in range(0, 12):
+            mats = _rank_test_stack(rnd, n, p)
+            expected = [ExactMatrix(GF(p), m.tolist(), ncols=n).rank() for m in mats]
+            assert _gfp_ranks(mats, p).tolist() == expected, (p, n)
+            if p == 2:
+                shifts = np.arange(n, dtype=np.uint32)
+                bits = (mats.astype(np.uint32) << shifts).sum(axis=2, dtype=np.uint32)
+                assert _gf2_ranks(bits, n).tolist() == expected, n

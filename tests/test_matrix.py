@@ -215,3 +215,41 @@ def test_rng_python_and_numpy_streams_agree():
         py = rng.values_mod(seed, 17, 200, 5)
         np_vals = rng.values_mod_np(seed, 17, 200, 5)
         assert py == list(np_vals)
+
+
+@pytest.mark.parametrize("p", [1000003, 2**31 - 1])
+def test_large_prime_fields(p):
+    """Exact elimination at primes far beyond a p-entry table, incl. the 1x1 zero matrix."""
+    from nilpairs.jordan import shape_of_reduced
+    from nilpairs.reduction import reduce
+    from nilpairs.structure import sample_nilpotent_candidate
+
+    f = GF(p)
+    zero = ExactMatrix.zeros(f, 1, 1)
+    assert zero.rank_sequence() == [1, 0]
+    assert zero.kernel_basis() == [[1]]
+    assert jordanize_nilpotent(zero, validate=True) == (ExactMatrix.identity(f, 1), Partition([1]))
+    assert ExactMatrix(f, [[p - 1]]).inverse() == ExactMatrix(f, [[p - 1]])
+    assert ExactMatrix(f, [[2]]).inverse().rows == (((p + 1) // 2,),)
+
+    rnd = random.Random(p)
+    for shape in enumerate_partitions(5):
+        while True:
+            q = ExactMatrix(f, [[rnd.randrange(p) for _ in range(5)] for _ in range(5)])
+            if q.rank() == 5:
+                break
+        qinv = q.inverse()
+        assert q.mul(qinv) == ExactMatrix.identity(f, 5)
+        m = q.mul(jordan_matrix(shape, f)).mul(qinv)
+        assert m.rank_sequence() == [sum(max(x - i, 0) for x in shape) for i in range(shape[0] + 1)]
+        basis = m.kernel_basis()
+        assert len(basis) == len(shape)
+        for v in basis:
+            assert all(x == 0 for x in m.matvec(v))
+        p_mat, s = jordanize_nilpotent(m, validate=True)
+        assert s == shape
+
+    mu = Partition([2, 1])  # one 1-part: m = 1
+    a = sample_nilpotent_candidate(mu, f, seed=3)
+    pair = reduce(a, mu)
+    assert shape_of_reduced(pair) == a.nilpotent_shape()

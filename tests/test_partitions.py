@@ -5,8 +5,10 @@ from nilpairs.partitions import (
     canonical_sorted,
     conjugate,
     enumerate_partitions,
+    equal_runs,
     format_partition,
     from_core,
+    offsets,
     ord_parts,
     parse_partition,
     split_core,
@@ -110,3 +112,16 @@ def test_parse_and_format():
     for n in range(0, 12):
         for p in enumerate_partitions(n):
             assert parse_partition(format_partition(p)) == p
+
+
+def test_offsets_and_equal_runs():
+    assert offsets(Partition()) == (0,)
+    assert offsets(parse_partition("3,3,2,1^2")) == (0, 3, 6, 8, 9, 10)
+    assert equal_runs(Partition()) == []
+    assert equal_runs(parse_partition("3,3,2,1^3")) == [(0, 2), (2, 3), (3, 6)]
+    for n in range(0, 9):
+        for p in enumerate_partitions(n):
+            runs = equal_runs(p)
+            assert [p[j] for j0, j1 in runs for j in range(j0, j1)] == list(p)
+            assert all(len(set(p[j0:j1])) == 1 for j0, j1 in runs)
+            assert all(p[a1 - 1] != p[b0] for (_, a1), (b0, _) in zip(runs, runs[1:]))
