@@ -1,13 +1,19 @@
 """Brute-force shape censuses over finite fields, exhaustive or sampled.
 
-The exhaustive census enumerates every annihilating-form candidate for a
-given mu, filters the nilpotent ones, and tallies their Jordan shapes.  Two
-routes are provided: a vectorized engine and a slow per-matrix reference
-used to cross-check it.  The engine works on whole batches of candidates:
-over GF(2) with n <= 32 each row is a uint32 bitmask, otherwise each matrix
-is an int64 array (wider GF(2) matrices run there mod 2), and the shapes
-come from the ranks of successive powers, taken by one rank-only batched
-elimination per representation (`_gf2_ranks`, `_gfp_ranks`).
+The exhaustive census tallies the Jordan shapes of every nilpotent
+annihilating-form candidate for a given mu.  Such a candidate is nilpotent
+exactly when its m x m ones block A22 is, and p^(m^2 - m) of the p^(m^2)
+blocks are (Fine-Herstein), so the census walks the A22 space, keeps the
+nilpotent blocks, and crosses them with every assignment of the outer free
+coordinates: it builds only the p^(F - m) nilpotent candidates of the p^F.
+The sampled census draws whole candidates and keeps those whose A22 is
+nilpotent.  Two routes are provided: a vectorized engine and a slow
+per-matrix reference used to cross-check it.  The engine works on whole
+batches of candidates: over GF(2) with n <= 32 each row is a uint32 bitmask,
+otherwise each matrix is an int64 array (wider GF(2) matrices run there
+mod 2), and the shapes come from the ranks of successive powers, taken by
+one rank-only batched elimination per representation (`_gf2_ranks`,
+`_gfp_ranks`) and tallied once per distinct rank sequence.
 `verify_shapes` is the CLI engine: it additionally computes every shape
 twice (rank-sequence oracle and reduction formulas) and demands agreement
 matrix by matrix.
@@ -20,8 +26,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .fields import FieldSpec
-from .matrix import ExactMatrix
-from .partitions import Partition, canonical_sorted, conjugate, format_partition
+from .matrix import ExactMatrix, _np_safe
+from .partitions import Partition, canonical_sorted, conjugate, format_partition, split_core
 from .structure import (
     DEFAULT_BUDGET,
     BudgetExceeded,
@@ -42,33 +48,29 @@ __all__ = [
 _BATCH = 1 << 18
 _GF2_BITS = 32  # columns a uint32 bit row holds; wider GF(2) runs on int64 mod 2
 _INT64_CELLS = 1 << 24  # matrix entries per int64 batch, so memory stays bounded
+_A22_CACHE = 1 << 16  # A22 nilpotency verdicts verify_shapes keeps
 
 
 def _int64_batch(n: int, cap: int) -> int:
     return max(1, min(cap, _INT64_CELLS // (n * n)))
 
 
-def _shape_from_kernel_dims(dims: list[int], n: int) -> Partition:
-    """Jordan shape from kernel dimensions of A^1..A^q (q = first full kernel)."""
-    weyr = []
-    prev = 0
-    for d in dims:
-        weyr.append(d - prev)
-        prev = d
-        if d == n:
-            break
-    return conjugate(Partition([w for w in weyr if w]))
+def _tally(rank_mat: np.ndarray, n: int) -> dict[Partition, int]:
+    """Shape -> count from rank rows [rk(A^0), rk(A^1), ...], zero-padded.
+
+    A rank row falls strictly to 0, so the set of its values, as a bit mask,
+    identifies it; each distinct row is converted to its shape once.
+    """
+    dtype = np.int64 if n < 63 else object
+    codes = np.bitwise_or.reduce(np.left_shift(np.ones(1, dtype=dtype), rank_mat.astype(dtype)), axis=1)
+    _, first, counts = np.unique(codes, return_index=True, return_counts=True)
+    out: dict[Partition, int] = {}
+    for seq, cnt in zip(rank_mat[first].tolist(), counts.tolist()):
+        out[conjugate(Partition([a - b for a, b in zip(seq, seq[1:]) if a > b]))] = cnt
+    return out
 
 
 # -- GF(2), bit-packed -----------------------------------------------------------
-
-
-def _gf2_rows_from_indices(idx: np.ndarray, positions, n: int, nfree: int) -> np.ndarray:
-    rows = np.zeros((idx.shape[0], n), dtype=np.uint32)
-    for f, (r, c) in enumerate(positions):
-        bit = (idx >> np.uint64(nfree - 1 - f)) & np.uint64(1)
-        rows[:, r] |= bit.astype(np.uint32) << np.uint32(c)
-    return rows
 
 
 def _gf2_matmul(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
@@ -110,49 +112,23 @@ def _gf2_ranks(rows: np.ndarray, n: int) -> np.ndarray:
     return rank
 
 
-def _gf2_shape_counts(rows: np.ndarray, n: int) -> dict[Partition, int]:
-    b = rows.shape[0]
-    dims = []
+def _gf2_rank_rows(rows: np.ndarray, n: int) -> np.ndarray:
+    """Rank rows (B, q) of the powers of nilpotent bit-row matrices, down to zero."""
+    ranks = [np.full(rows.shape[0], n, dtype=np.int64)]
     power = rows
     for _ in range(n):
-        dims.append(n - _gf2_ranks(power, n))
-        if all(d == n for d in dims[-1]):
+        ranks.append(_gf2_ranks(power, n))
+        if not ranks[-1].any():
             break
         power = _gf2_matmul(power, rows, n)
-    dim_mat = np.stack(dims, axis=1)  # (B, q)
-    codes = np.zeros(b, dtype=np.int64)
-    base = n + 1
-    for j in range(dim_mat.shape[1]):
-        codes = codes * base + dim_mat[:, j]
-    out: dict[Partition, int] = {}
-    uniq, counts = np.unique(codes, return_counts=True)
-    width = dim_mat.shape[1]
-    for code, cnt in zip(uniq.tolist(), counts.tolist()):
-        digits = []
-        c = code
-        for _ in range(width):
-            digits.append(c % base)
-            c //= base
-        digits.reverse()
-        shape = _shape_from_kernel_dims(digits, n)
-        out[shape] = out.get(shape, 0) + cnt
-    return out
+    return np.stack(ranks, axis=1)
 
 
 # -- GF(p), batched matmul ---------------------------------------------------------
 
 
-def _gfp_mats_from_values(vals: np.ndarray, positions, n: int) -> np.ndarray:
-    mats = np.zeros((vals.shape[0], n, n), dtype=np.int64)
-    for f, (r, c) in enumerate(positions):
-        mats[:, r, c] = vals[:, f]
-    return mats
-
-
 def _gfp_nilpotent_mask(mats: np.ndarray, n: int, p: int) -> np.ndarray:
-    if n and n * (p - 1) ** 2 >= 2**62:  # pragma: no cover - tiny fields only
-        raise ValueError(f"census nilpotency filter limited to small p, got p={p}")
-    power = mats.astype(np.int64)
+    power = mats
     e = 1
     while e < n:
         power = np.matmul(power, power) % p
@@ -186,33 +162,95 @@ def _gfp_ranks(mats: np.ndarray, p: int) -> np.ndarray:
     return rank
 
 
-def _gfp_shape_counts(mats: np.ndarray, n: int, p: int) -> dict[Partition, int]:
+def _gfp_rank_rows(mats: np.ndarray, n: int, p: int) -> np.ndarray:
+    """Rank rows (B, q) of the powers of nilpotent int64 matrices, zero-padded."""
     b = mats.shape[0]
-    out: dict[Partition, int] = {}
-    if b == 0:
-        return out
     ranks = [np.full(b, n, dtype=np.int64)]
     power = mats.copy()
     alive = np.ones(b, dtype=bool)
     while alive.any():
         r = np.zeros(b, dtype=np.int64)
         r[alive] = _gfp_ranks(power[alive], p)
-        ranks.append(np.where(alive, r, 0))
+        ranks.append(r)
         alive = alive & (r > 0)
         if alive.any():
             power[alive] = np.matmul(power[alive], mats[alive]) % p
-    rank_mat = np.stack(ranks, axis=1)
-    for i in range(b):
-        seq = rank_mat[i]
-        weyr = []
-        for j in range(1, len(seq)):
-            w = int(seq[j - 1] - seq[j])
-            if w <= 0:
-                break
-            weyr.append(w)
-        shape = conjugate(Partition(weyr))
-        out[shape] = out.get(shape, 0) + 1
-    return out
+    return np.stack(ranks, axis=1)
+
+
+# -- batches of candidates ----------------------------------------------------------
+#
+# Stacks of candidates are built from odometer indices (exhaustive) or from
+# drawn values (sampled); `bits` selects the representation, uint32 bit rows
+# or int64 matrices, and every later step is shared.
+
+
+def _bit_rows(n: int, field: FieldSpec) -> bool:
+    """True when n x n candidates go in uint32 bit rows; else checks int64 stays exact.
+
+    Every product the census takes is of n x n matrices (A22 ones included,
+    m <= n), so the int64 bound is tied to n.
+    """
+    if field.order == 2 and n <= _GF2_BITS:
+        return True
+    if not _np_safe(field, n):
+        raise ValueError(f"census int64 products need n*(p-1)^2 < 2^62, got n={n}, p={field.order}")
+    return False
+
+
+def _a22_split(mu: Partition, positions) -> tuple[int, list[int], list[int], list[tuple[int, int]]]:
+    """(m, free indices outside A22, free indices inside A22, their positions in A22)."""
+    m = split_core(mu).ones
+    base = mu.n - m
+    inner = [f for f, (r, c) in enumerate(positions) if r >= base and c >= base]
+    outer = [f for f, (r, c) in enumerate(positions) if r < base or c < base]
+    return m, outer, inner, [(positions[f][0] - base, positions[f][1] - base) for f in inner]
+
+
+def _stack(vals: np.ndarray, positions, n: int, bits: bool) -> np.ndarray:
+    """B matrices of size n x n with the values vals[f] (shape (F, B)) at positions[f]."""
+    b = vals.shape[1]
+    if bits:
+        rows = np.zeros((b, n), dtype=np.uint32)
+        for f, (r, c) in enumerate(positions):
+            rows[:, r] |= vals[f].astype(np.uint32) << np.uint32(c)
+        return rows
+    mats = np.zeros((b, n, n), dtype=np.int64)
+    for f, (r, c) in enumerate(positions):
+        mats[:, r, c] = vals[f]
+    return mats
+
+
+def _index_stack(idx: np.ndarray, positions, n: int, p: int, bits: bool) -> np.ndarray:
+    """n x n matrices holding the odometer digits of each index at `positions`.
+
+    The first position takes the most significant digit.
+    """
+    last = len(positions) - 1
+    if bits:
+        rows = np.zeros((idx.shape[0], n), dtype=np.uint32)
+        for f, (r, c) in enumerate(positions):
+            rows[:, r] |= ((idx >> (last - f)) & 1).astype(np.uint32) << np.uint32(c)
+        return rows
+    digits = np.zeros((last + 1, idx.shape[0]), dtype=np.int64)
+    rem = idx.copy()
+    for f in range(last, -1, -1):
+        digits[f] = rem % p
+        rem //= p
+    return _stack(digits, positions, n, bits)
+
+
+def _nilpotent_mask(mats: np.ndarray, n: int, p: int, bits: bool) -> np.ndarray:
+    return _gf2_nilpotent_mask(mats, n) if bits else _gfp_nilpotent_mask(mats, n, p)
+
+
+def _add_shape_counts(counts: dict[Partition, int], mats: np.ndarray, n: int, p: int, bits: bool) -> None:
+    """Add the shapes of a stack of nilpotent n x n candidates to `counts`."""
+    if mats.shape[0] == 0:
+        return
+    ranks = _gf2_rank_rows(mats, n) if bits else _gfp_rank_rows(mats, n, p)
+    for shape, cnt in _tally(ranks, n).items():
+        counts[shape] = counts.get(shape, 0) + cnt
 
 
 # -- public censuses ------------------------------------------------------------------
@@ -221,7 +259,12 @@ def _gfp_shape_counts(mats: np.ndarray, n: int, p: int) -> dict[Partition, int]:
 def exhaustive_shape_census(
     mu: Partition, field: FieldSpec, budget: int = DEFAULT_BUDGET
 ) -> dict[Partition, int]:
-    """Shape -> count over all nilpotent annihilating-form candidates (vectorized)."""
+    """Shape -> count over all nilpotent annihilating-form candidates (vectorized).
+
+    The A22 blocks are walked in chunks; the nilpotent ones are crossed with
+    every assignment of the outer free coordinates, so only the p^(F - m)
+    nilpotent candidates of the p^F are built.
+    """
     mu = Partition(mu)
     total = candidate_count(mu, field)
     if total > budget:
@@ -229,30 +272,26 @@ def exhaustive_shape_census(
     free = free_coordinates(mu)
     n = mu.n
     p = field.order
-    counts: dict[Partition, int] = {}
-    if n == 0:
-        return {Partition(): 1}
-    bits = p == 2 and n <= _GF2_BITS
+    bits = _bit_rows(n, field)
+    m, outer, inner, local = _a22_split(mu, free.positions)
+    base = n - m
+    outer_positions = [free.positions[f] for f in outer]
+    n_a22 = p ** len(inner)
+    n_outer = p ** len(outer)
     step = _BATCH if bits else _int64_batch(n, _BATCH)
-    for start in range(0, total, step):
-        stop = min(start + step, total)
-        if bits:
-            idx = np.arange(start, stop, dtype=np.uint64)
-            rows = _gf2_rows_from_indices(idx, free.positions, n, len(free))
-            mask = _gf2_nilpotent_mask(rows, n)
-            sub = _gf2_shape_counts(rows[mask], n) if mask.any() else {}
-        else:
-            idx = np.arange(start, stop, dtype=np.int64)
-            digits = np.zeros((idx.shape[0], len(free)), dtype=np.int64)
-            rem = idx.copy()
-            for f in range(len(free) - 1, -1, -1):
-                digits[:, f] = rem % p
-                rem //= p
-            mats = _gfp_mats_from_values(digits, free.positions, n)
-            mask = _gfp_nilpotent_mask(mats, n, p)
-            sub = _gfp_shape_counts(mats[mask], n, p) if mask.any() else {}
-        for shape, cnt in sub.items():
-            counts[shape] = counts.get(shape, 0) + cnt
+    counts: dict[Partition, int] = {}
+    for a0 in range(0, n_a22, step):
+        a22 = _index_stack(np.arange(a0, min(a0 + step, n_a22), dtype=np.int64), local, m, p, bits)
+        kept = a22[_nilpotent_mask(a22, m, p, bits)]
+        size = kept.shape[0] * n_outer
+        for start in range(0, size, step):
+            j = np.arange(start, min(start + step, size), dtype=np.int64)
+            mats = _index_stack(j % n_outer, outer_positions, n, p, bits)
+            if bits:
+                mats[:, base:] |= kept[j // n_outer] << np.uint32(base)
+            else:
+                mats[:, base:, base:] = kept[j // n_outer]
+            _add_shape_counts(counts, mats, n, p, bits)
     return counts
 
 
@@ -262,8 +301,9 @@ def sampled_shape_census(
     """Shape -> count over nilpotent candidates among `samples` seeded draws.
 
     Sample i uses splitmix64 stream positions [i*F, (i+1)*F) of `seed`, the
-    same stream as structure.sample_candidate(..., index=i).  Returns the
-    counts and the number of nilpotent samples.
+    same stream as structure.sample_candidate(..., index=i); a draw is kept
+    when its A22 block is nilpotent.  Returns the counts and the number of
+    nilpotent samples.
     """
     from . import rng
 
@@ -272,26 +312,17 @@ def sampled_shape_census(
     n = mu.n
     p = field.order
     nf = len(free)
+    bits = _bit_rows(n, field)
+    m, _, inner, local = _a22_split(mu, free.positions)
     counts: dict[Partition, int] = {}
     nilp_total = 0
-    bits = p == 2 and n <= _GF2_BITS
     step = _BATCH // 4 if bits else _int64_batch(n, _BATCH // 4)
     for start in range(0, samples, step):
         stop = min(start + step, samples)
-        vals = rng.values_mod_np(seed, start * nf, (stop - start) * nf, p).reshape(stop - start, nf)
-        if bits:
-            rows = np.zeros((vals.shape[0], n), dtype=np.uint32)
-            for f, (r, c) in enumerate(free.positions):
-                rows[:, r] |= vals[:, f].astype(np.uint32) << np.uint32(c)
-            mask = _gf2_nilpotent_mask(rows, n)
-            sub = _gf2_shape_counts(rows[mask], n) if mask.any() else {}
-        else:
-            mats = _gfp_mats_from_values(vals, free.positions, n)
-            mask = _gfp_nilpotent_mask(mats, n, p)
-            sub = _gfp_shape_counts(mats[mask], n, p) if mask.any() else {}
-        nilp_total += int(mask.sum())
-        for shape, cnt in sub.items():
-            counts[shape] = counts.get(shape, 0) + cnt
+        vals = rng.values_mod_np(seed, start * nf, (stop - start) * nf, p).reshape(stop - start, nf).T
+        nilp = vals[:, _nilpotent_mask(_stack(vals[inner], local, m, bits), m, p, bits)]
+        nilp_total += nilp.shape[1]
+        _add_shape_counts(counts, _stack(nilp, free.positions, n, bits), n, p, bits)
     return counts, nilp_total
 
 
@@ -378,9 +409,20 @@ def verify_shapes(
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
+    # a candidate is nilpotent iff its A22 block is; blocks recur across the
+    # outer coordinates, so each verdict is kept (up to _A22_CACHE blocks)
+    m = split_core(mu).ones
+    base = mu.n - m
+    nilpotent_a22: dict[tuple, bool] = {}
     disagreements = []
     for i, cand in enumerate(candidates):
-        if not cand.is_nilpotent():
+        a22 = tuple(r[base:] for r in cand.rows[base:])
+        nilp = nilpotent_a22.get(a22)
+        if nilp is None:
+            nilp = ExactMatrix(field, a22, ncols=m, _canon=False).is_nilpotent()
+            if len(nilpotent_a22) < _A22_CACHE:
+                nilpotent_a22[a22] = nilp
+        if not nilp:
             continue
         shape = cand.nilpotent_shape()
         formula_shape = shape_of_reduced(reduce_form(cand, mu))

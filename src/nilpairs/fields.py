@@ -120,7 +120,10 @@ class FieldSpec:
                 raise ValueError(f"GF(p) entries must be integers, got {v!r}")
             return v % self.p  # type: ignore[operator]
         if isinstance(v, (int, str)):
-            return Fraction(v)
+            try:
+                return Fraction(v)
+            except ZeroDivisionError:
+                raise ValueError(f"rational entry {v!r} has a zero denominator") from None
         raise ValueError(f"rational entries must be ints or 'num/den' strings, got {v!r}")
 
 
@@ -134,7 +137,9 @@ def GF(p: int) -> FieldSpec:
 
 
 def parse_field(name: str) -> FieldSpec:
-    """Parse "gf2", "gf:<p>" or "rational"."""
+    """Parse "gf2", "gf:<p>" or "rational"; anything else raises ValueError."""
+    if not isinstance(name, str):
+        raise ValueError(f"field name must be a string, got {name!r}")
     name = name.strip().lower()
     if name == "rational":
         return QQ

@@ -303,10 +303,16 @@ class ExactMatrix:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ExactMatrix":
+        """Decode {"field": name, "rows": [[entry, ...], ...]}; raises ValueError on any other shape."""
         from .fields import parse_field
 
-        field = parse_field(doc["field"])
-        rows = [[field.entry_from_json(v) for v in r] for r in doc["rows"]]
+        if not isinstance(doc, dict):
+            raise ValueError(f"matrix JSON must be an object, got {type(doc).__name__}")
+        rows = doc.get("rows")
+        if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+            raise ValueError("matrix JSON needs 'rows' as a list of row lists")
+        field = parse_field(doc.get("field"))
+        rows = [[field.entry_from_json(v) for v in r] for r in rows]
         return cls(field, rows, _canon=False)
 
 

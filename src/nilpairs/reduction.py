@@ -203,6 +203,8 @@ class ReducedPair:
     def from_json_dict(cls, doc: dict, validate: bool = True) -> "ReducedPair":
         from .partitions import parse_partition
 
+        if not isinstance(doc, dict):
+            raise ValueError(f"reduced-pair JSON must be an object, got {type(doc).__name__}")
         mu = parse_partition(doc["mu"])
         lam = parse_partition(doc["lambda"])
         matrix = ExactMatrix.from_json_dict(doc["matrix"])

@@ -13,8 +13,14 @@ from nilpairs.census import (
 from nilpairs.characterize import enumerate_shapes
 from nilpairs.fields import GF2, GF3, GF
 from nilpairs.matrix import ExactMatrix
-from nilpairs.partitions import Partition, enumerate_partitions, parse_partition
-from nilpairs.structure import BudgetExceeded, candidate_count, free_coordinates, sample_candidate
+from nilpairs.partitions import Partition, enumerate_partitions, parse_partition, split_core
+from nilpairs.structure import (
+    BudgetExceeded,
+    candidate_at,
+    candidate_count,
+    free_coordinates,
+    sample_candidate,
+)
 
 
 def test_vectorized_census_matches_reference():
@@ -41,18 +47,69 @@ def test_census_budget():
         exhaustive_shape_census(Partition([1] * 5), GF2, budget=1000)
 
 
-def test_sampled_census_matches_stream():
-    mu = parse_partition("2,2,1")
-    counts, nilp = sampled_shape_census(mu, GF3, 400, seed=5)
+def _stream_census(mu, field, samples, seed):
+    """Per-matrix twin of sampled_shape_census on the same sample stream."""
     ref: dict = {}
-    ref_nilp = 0
-    for i in range(400):
-        c = sample_candidate(mu, GF3, 5, index=i)
+    for i in range(samples):
+        c = sample_candidate(mu, field, seed, index=i)
         if c.is_nilpotent():
-            ref_nilp += 1
             s = c.nilpotent_shape()
             ref[s] = ref.get(s, 0) + 1
-    assert counts == ref and nilp == ref_nilp
+    return ref, sum(ref.values())
+
+
+def test_sampled_census_matches_stream():
+    mu = parse_partition("2,2,1")
+    assert sampled_shape_census(mu, GF3, 400, seed=5) == _stream_census(mu, GF3, 400, 5)
+
+
+def test_sampled_census_matches_stream_gf2_bit_rows():
+    mu = parse_partition("3,2,1,1")  # 0 < m < n: A22 is a 2 x 2 block of a 7 x 7 bit-row matrix
+    counts, nilp = sampled_shape_census(mu, GF2, 600, seed=5)
+    assert (counts, nilp) == _stream_census(mu, GF2, 600, 5)
+    assert 0 < nilp < 600
+
+
+def test_sampled_census_int64_guard_tied_to_n():
+    # (2,1) has m = 1: the A22 block would pass the bound, the 3 x 3 products would not
+    p = 2**31 - 1
+    for samples in (1, 50):
+        with pytest.raises(ValueError):
+            sampled_shape_census(Partition([2, 1]), GF(p), samples, seed=0)
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, GF(5)], ids=lambda f: f.name)
+def test_chunked_a22_census_matches_reference(monkeypatch, field):
+    # caps small enough that the A22 blocks come in several chunks and their
+    # crossings with the outer coordinates in several batches
+    monkeypatch.setattr(census, "_BATCH", 7)
+    monkeypatch.setattr(census, "_INT64_CELLS", 100)
+    sizes = {"a22": [], "batch": []}
+    mask, add = census._nilpotent_mask, census._add_shape_counts
+
+    def record_mask(mats, n, p, bits):
+        sizes["a22"].append(mats.shape[0])
+        return mask(mats, n, p, bits)
+
+    def record_add(counts, mats, n, p, bits):
+        sizes["batch"].append(mats.shape[0])
+        return add(counts, mats, n, p, bits)
+
+    monkeypatch.setattr(census, "_nilpotent_mask", record_mask)
+    monkeypatch.setattr(census, "_add_shape_counts", record_add)
+    for text in ("2,2", "3,3", "2,1,1", "3,1,1", "2,2,1", "1,1,1"):
+        mu = parse_partition(text)
+        if candidate_count(mu, field) > 20000:
+            continue
+        sizes["a22"].clear()
+        sizes["batch"].clear()
+        got = exhaustive_shape_census(mu, field)
+        assert got == reference_shape_census(mu, field), (text, field.name)
+        cap = 7 if field.order == 2 else census._int64_batch(mu.n, 7)
+        m = split_core(mu).ones
+        assert max(sizes["a22"] + sizes["batch"]) <= cap, text
+        assert len(sizes["a22"]) == -(-field.order ** (m * m) // cap), text
+        assert sum(sizes["batch"]) == sum(got.values()) and len(sizes["batch"]) > 1, text
 
 
 def test_verify_exhaustive_examples():
@@ -131,6 +188,23 @@ def test_verify_mismatch_encoding(monkeypatch):
     assert rep.details.get("missing")
 
 
+def test_verify_disagreements_carry_odometer_indices(monkeypatch):
+    # a formula that always answers (n) disagrees with every other nilpotent
+    # candidate; the report names them by their odometer index
+    import nilpairs.jordan as jordan
+
+    mu = parse_partition("2,1,1")
+    monkeypatch.setattr(jordan, "shape_of_reduced", lambda pair: Partition([mu.n]))
+    rep = verify_shapes(mu, GF2, mode="exhaustive")
+    expected = []
+    for i in range(candidate_count(mu, GF2)):
+        c = candidate_at(mu, GF2, i)
+        if c.is_nilpotent() and c.nilpotent_shape() != Partition([mu.n]):
+            expected.append(i)
+    assert rep.verdict == "mismatch"
+    assert [d["index"] for d in rep.details["shape_disagreements"]] == expected[:20]
+
+
 def _gl_order(m: int, q: int) -> int:
     out = 1
     for i in range(m):
@@ -175,18 +249,20 @@ def test_census_gf2_wider_than_a_bit_row(monkeypatch):
         Partition([2] + [1] * 31): 1,
     }
     monkeypatch.setattr(census, "_INT64_CELLS", 100 * 33 * 33)  # 512 candidates in 6 batches
-    for text in ("17,17", "30,1,1", "11,11,11"):  # 30,1,1: n = 32, the widest bit row
+    for text in ("17,17", "30,1,1", "11,11,11", "62,1"):  # 30,1,1: n = 32, the widest bit row
         mu = parse_partition(text)
         assert exhaustive_shape_census(mu, GF2) == reference_shape_census(mu, GF2), text
     mu = parse_partition("11,11,11")
-    counts, nilp = sampled_shape_census(mu, GF2, 40, seed=3)
-    ref: dict = {}
-    for i in range(40):
-        c = sample_candidate(mu, GF2, 3, index=i)
-        if c.is_nilpotent():
-            s = c.nilpotent_shape()
-            ref[s] = ref.get(s, 0) + 1
-    assert counts == ref and nilp == sum(ref.values())
+    assert sampled_shape_census(mu, GF2, 40, seed=3) == _stream_census(mu, GF2, 40, 3)
+
+
+def test_census_rank_rows_past_63_columns():
+    # rank rows holding 64 or more do not fit an int64 bit mask; the samples of
+    # 2^66 have ranks 64, 65 and 66, which such a mask would merge
+    mu = Partition([2] * 66)
+    counts, nilp = sampled_shape_census(mu, GF2, 20, seed=1)
+    assert (counts, nilp) == _stream_census(mu, GF2, 20, 1)
+    assert len(counts) == 3
 
 
 def _rank_test_stack(rnd: np.random.Generator, n: int, p: int) -> np.ndarray:

@@ -97,6 +97,33 @@ def test_reduce_bad_input_exit(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"rows": 5},
+        {"field": "gf2", "rows": 5},
+        {"field": 5, "rows": [[0]]},
+        {"field": "rational", "rows": [["1/0"]]},
+        [[0]],
+    ],
+    ids=["rows-only", "rows-not-a-list", "field-not-a-string", "zero-denominator", "top-level-list"],
+)
+def test_reduce_malformed_input_is_usage_error(tmp_path, capsys, doc):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out = run_cli(capsys, "reduce", "--mu", "1", "--input", str(bad))
+    assert code == 2
+    assert json.loads(out)["kind"] == "usage"
+
+
+def test_shape_top_level_list_is_usage_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("[]")
+    code, out = run_cli(capsys, "shape", "--input", str(bad))
+    assert code == 2
+    assert json.loads(out)["kind"] == "usage"
+
+
 def test_reduce_from_stdin(tmp_path, capsys, monkeypatch):
     import io
 
