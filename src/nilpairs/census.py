@@ -7,13 +7,13 @@ blocks are (Fine-Herstein), so the census walks the A22 space, keeps the
 nilpotent blocks, and crosses them with every assignment of the outer free
 coordinates: it builds only the p^(F - m) nilpotent candidates of the p^F.
 The sampled census draws whole candidates and keeps those whose A22 is
-nilpotent.  Two routes are provided: a vectorized engine and a slow
-per-matrix reference used to cross-check it.  The engine works on whole
-batches of candidates: over GF(2) with n <= 32 each row is a uint32 bitmask,
-otherwise each matrix is an int64 array (wider GF(2) matrices run there
-mod 2), and the shapes come from the ranks of successive powers, taken by
-one rank-only batched elimination per representation (`_gf2_ranks`,
-`_gfp_ranks`) and tallied once per distinct rank sequence.
+nilpotent.  The engine works on whole batches of candidates: over GF(2)
+with n <= 32 each row is a uint32 bitmask, otherwise each matrix is an int64
+array (wider GF(2) matrices run there mod 2), and the shapes come from the
+ranks of successive powers, taken by one rank-only batched elimination per
+representation (`_gf2_ranks`, `_gfp_ranks`) and tallied once per distinct
+rank sequence.  Its per-matrix cross-check twin is
+`oracles.reference_shape_census`.
 `verify_shapes` is the CLI engine: it additionally computes every shape
 twice (rank-sequence oracle and reduction formulas) and demands agreement
 matrix by matrix.
@@ -41,7 +41,6 @@ __all__ = [
     "VerifyReport",
     "exhaustive_shape_census",
     "sampled_shape_census",
-    "reference_shape_census",
     "verify_shapes",
 ]
 
@@ -324,18 +323,6 @@ def sampled_shape_census(
         nilp_total += nilp.shape[1]
         _add_shape_counts(counts, _stack(nilp, free.positions, n, bits), n, p, bits)
     return counts, nilp_total
-
-
-def reference_shape_census(
-    mu: Partition, field: FieldSpec, budget: int = DEFAULT_BUDGET
-) -> dict[Partition, int]:
-    """Per-matrix oracle census (slow); the cross-check twin of the vectorized one."""
-    counts: dict[Partition, int] = {}
-    for cand in enumerate_candidates(mu, field, budget):
-        if cand.is_nilpotent():
-            shape = cand.nilpotent_shape()
-            counts[shape] = counts.get(shape, 0) + 1
-    return counts
 
 
 # -- the verify engine ------------------------------------------------------------------

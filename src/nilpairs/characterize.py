@@ -16,7 +16,15 @@ from typing import Iterator
 
 from .fields import GF2, FieldSpec
 from .matrix import ExactMatrix, jordan_matrix
-from .partitions import Partition, canonical_sorted, enumerate_partitions, offsets, ord_parts, split_core
+from .partitions import (
+    Partition,
+    canonical_sorted,
+    enumerate_partitions,
+    equal_runs,
+    offsets,
+    ord_parts,
+    split_core,
+)
 
 __all__ = [
     "Certificate",
@@ -31,7 +39,12 @@ __all__ = [
     "component_pairs",
 ]
 
-MAX_N = 40  # certificate search guard
+MAX_N = 40  # guard on n for the certificate search and every pair-set enumeration
+
+
+def _require_small(n: int) -> None:
+    if n > MAX_N:
+        raise ValueError(f"shape search guarded at n <= {MAX_N}, got n={n}")
 
 
 class Incompatible(ValueError):
@@ -109,12 +122,7 @@ def _certificates(mu: Partition, nu: Partition) -> Iterator[Certificate]:
     k, m = len(split.core), split.ones
     count2 = sum(1 for p in nu if p == 2)
     count1 = sum(1 for p in nu if p == 1)
-    runs = []  # (value, count) of nu, descending values
-    for p in nu:
-        if runs and runs[-1][0] == p:
-            runs[-1][1] += 1
-        else:
-            runs.append([p, 1])
+    runs = [(nu[j0], j1 - j0) for j0, j1 in equal_runs(nu)]  # (value, count), descending
 
     for c in range(min(count2, k) + 1):
         for d in range(count1 + 1):
@@ -177,8 +185,7 @@ def compatible(mu: Partition, nu: Partition) -> Certificate | None:
     mu, nu = Partition(mu), Partition(nu)
     if mu.n != nu.n:
         raise ValueError(f"|mu| = {mu.n} != |nu| = {nu.n}")
-    if mu.n > MAX_N:
-        raise ValueError(f"certificate search guarded at n <= {MAX_N}")
+    _require_small(mu.n)
     cert = _compatible_cached(tuple(mu), tuple(nu))
     if cert is not None:
         cert.check(mu, nu)
@@ -201,12 +208,7 @@ def _enumerate_shapes_cached(mu_t: tuple[int, ...]) -> tuple[Partition, ...]:
         )
     shapes: set[Partition] = set()
     for lam in enumerate_partitions(m):
-        runs = []
-        for p in lam:
-            if runs and runs[-1][0] == p:
-                runs[-1][1] += 1
-            else:
-                runs.append([p, 1])
+        runs = [(lam[j0], j1 - j0) for j0, j1 in equal_runs(lam)]
 
         def rec(idx: int, budget: int, acc: list[int]) -> None:
             if idx == len(runs):
@@ -237,7 +239,9 @@ def _enumerate_shapes_cached(mu_t: tuple[int, ...]) -> tuple[Partition, ...]:
 
 def enumerate_shapes(mu: Partition) -> tuple[Partition, ...]:
     """All shapes attainable against mu, in canonical order."""
-    return _enumerate_shapes_cached(tuple(Partition(mu)))
+    mu = Partition(mu)
+    _require_small(mu.n)
+    return _enumerate_shapes_cached(tuple(mu))
 
 
 # -- witness construction ----------------------------------------------------------
@@ -325,6 +329,7 @@ def enumerate_vnab(n: int, a: int, b: int) -> tuple[tuple[Partition, Partition],
     """
     if n < 2 or a < 2 or b < 2:
         raise ValueError("n, a, b must all be at least 2")
+    _require_small(n)
     pairs: list[tuple[Partition, Partition]] = []
     for mu in enumerate_partitions(n):
         if mu[0] > a:
@@ -346,6 +351,7 @@ def component_pairs(n: int, j: int) -> tuple[tuple[Partition, Partition], ...]:
     """
     if not 1 <= j <= n - 1:
         raise ValueError(f"j must be in [1, {n - 1}], got {j}")
+    _require_small(n)
     printed: set[tuple[Partition, Partition]] = set()
     by_ranks: set[tuple[Partition, Partition]] = set()
     for mu in enumerate_partitions(n):

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
 
+__all__ = ["FieldSpec", "GF", "GF2", "GF3", "QQ", "parse_field"]
+
 Element = Any  # int for GF(p), Fraction for the rationals
 
 
@@ -99,12 +101,6 @@ class FieldSpec:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return Fraction(1) / a
-
-    def elements(self) -> list[Element]:
-        """All field elements in canonical order (finite fields only)."""
-        if not self.is_finite:
-            raise ValueError("cannot enumerate an infinite field")
-        return list(range(self.p))  # type: ignore[arg-type]
 
     # -- JSON entry encoding -------------------------------------------
 

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .matrix import ExactMatrix, block_matrix, jordan_matrix
+from .matrix import ExactMatrix, jordan_matrix
 from .partitions import Partition, equal_runs, offsets, ord_parts
 from .reduction import ReducedPair
 
-__all__ = ["InternalInconsistency", "ChainProfile", "power_blocks", "chain_profile", "rank_formula", "shape_of_reduced"]
+__all__ = ["InternalInconsistency", "ChainProfile", "chain_profile", "rank_formula", "shape_of_reduced"]
 
 
 class InternalInconsistency(AssertionError):
@@ -48,27 +48,6 @@ def _lam_transpose_at(lam: Partition, s: int) -> int:
     if s < 1:
         raise ValueError("transpose index must be >= 1")
     return sum(1 for p in lam if p >= s)
-
-
-def power_blocks(r: ReducedPair, s: int) -> tuple[ExactMatrix, ExactMatrix, ExactMatrix, ExactMatrix]:
-    """The four blocks of A^(s+1) for a reduced matrix, s >= 1.
-
-    Returns (A12*J^(s-1)*A21, A12*J^s, J^s*A21, J^(s+1)); assembling them
-    reproduces matrix^(s+1) exactly.
-    """
-    if s < 1:
-        raise ValueError("power_blocks needs s >= 1")
-    a12, a21 = r.a12(), r.a21()
-    j = jordan_matrix(r.lam, r.field)
-    js1 = j.power(s - 1)
-    js = js1.mul(j)
-    return (a12.mul(js1).mul(a21), a12.mul(js), js.mul(a21), js.mul(j))
-
-
-def assemble_power(r: ReducedPair, s: int) -> ExactMatrix:
-    """Block assembly of A^(s+1) from power_blocks."""
-    tl, tr, bl, br = power_blocks(r, s)
-    return block_matrix(r.field, [[tl, tr], [bl, br]])
 
 
 def chain_profile(r: ReducedPair) -> ChainProfile:

@@ -23,8 +23,6 @@ __all__ = [
     "NotNilpotent",
     "jordan_matrix",
     "jordanize_nilpotent",
-    "batched_rank_sequences",
-    "block_matrix",
 ]
 
 
@@ -122,28 +120,6 @@ class ExactMatrix:
         if self.field != other.field:
             raise ValueError(f"field mismatch: {self.field.name} vs {other.field.name}")
 
-    def add(self, other: "ExactMatrix") -> "ExactMatrix":
-        self._require_same_field(other)
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("dimension mismatch in add")
-        f = self.field
-        return ExactMatrix(
-            f,
-            [[f.add(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
-            _canon=False,
-        )
-
-    def sub(self, other: "ExactMatrix") -> "ExactMatrix":
-        self._require_same_field(other)
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("dimension mismatch in sub")
-        f = self.field
-        return ExactMatrix(
-            f,
-            [[f.sub(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
-            _canon=False,
-        )
-
     def mul(self, other: "ExactMatrix") -> "ExactMatrix":
         """Exact product; raises on dimension or field mismatch."""
         self._require_same_field(other)
@@ -168,13 +144,6 @@ class ExactMatrix:
             p = f.order
             out = [[x % p for x in r] for r in out]
         return ExactMatrix(f, out, _canon=False)
-
-    def __mul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        return self.mul(other)
-
-    def neg(self) -> "ExactMatrix":
-        f = self.field
-        return ExactMatrix(f, [[f.neg(x) for x in r] for r in self.rows], _canon=False)
 
     def power(self, e: int) -> "ExactMatrix":
         """Iterated multiplication with early exit once a power hits zero."""
@@ -432,11 +401,10 @@ def jordan_matrix(shape: Partition, field: FieldSpec = QQ) -> ExactMatrix:
     return ExactMatrix(field, m, _canon=False)
 
 
-def jordanize_nilpotent(m: ExactMatrix, validate: bool = False) -> tuple[ExactMatrix, Partition]:
+def jordanize_nilpotent(m: ExactMatrix) -> tuple[ExactMatrix, Partition]:
     """Jordan basis of a nilpotent matrix via the standard kernel-chain construction.
 
     Returns (P, shape) with P invertible and P^-1 * m * P == jordan_matrix(shape).
-    With validate=True the postcondition is checked by exact multiplication.
     """
     if not m.is_square():
         raise ValueError("jordanize expects a square matrix")
@@ -469,43 +437,4 @@ def jordanize_nilpotent(m: ExactMatrix, validate: bool = False) -> tuple[ExactMa
 
     cols = [v for chain in chains for v in chain]
     p_mat = ExactMatrix(f, [[cols[j][i] for j in range(n)] for i in range(n)], _canon=False)
-    shape = Partition(len(c) for c in chains)
-
-    if validate:
-        j = jordan_matrix(shape, f)
-        if p_mat.inverse().mul(m).mul(p_mat) != j:
-            raise AssertionError("jordanize postcondition failed")
-    return p_mat, shape
-
-
-def batched_rank_sequences(mats: list[ExactMatrix]) -> list[list[int]]:
-    """Rank sequences of several nilpotent matrices.
-
-    All matrices must be square, of one size and over one field.
-    """
-    if not mats:
-        return []
-    f = mats[0].field
-    n = mats[0].nrows
-    if any(m.field != f or m.nrows != n or m.ncols != n for m in mats):
-        raise ValueError("batched_rank_sequences needs same-size square matrices over one field")
-    return [m.rank_sequence() for m in mats]
-
-
-def block_matrix(field: FieldSpec, blocks: list[list[ExactMatrix]]) -> ExactMatrix:
-    """Assemble a matrix from a 2-D grid of conforming blocks."""
-    rows: list[list[Element]] = []
-    width = sum(b.ncols for b in blocks[0]) if blocks else 0
-    for block_row in blocks:
-        height = block_row[0].nrows
-        for b in block_row:
-            if b.nrows != height:
-                raise ValueError("inconsistent block heights")
-            if b.field != field:
-                raise ValueError("block field mismatch")
-        for i in range(height):
-            row: list[Element] = []
-            for b in block_row:
-                row.extend(b.rows[i])
-            rows.append(row)
-    return ExactMatrix(field, rows, ncols=width, _canon=False)
+    return p_mat, Partition(len(c) for c in chains)

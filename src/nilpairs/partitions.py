@@ -12,6 +12,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+__all__ = [
+    "Partition",
+    "CoreSplit",
+    "conjugate",
+    "ord_parts",
+    "enumerate_partitions",
+    "offsets",
+    "equal_runs",
+    "split_core",
+    "from_core",
+    "parse_partition",
+    "format_partition",
+    "canonical_sorted",
+]
+
 
 class Partition(tuple):
     """Weakly decreasing tuple of positive integers.  Immutable, hashable.
@@ -43,9 +58,6 @@ class CoreSplit:
 
     core: Partition
     ones: int
-
-    def reassemble(self) -> Partition:
-        return Partition(tuple(self.core) + (1,) * self.ones)
 
 
 def conjugate(p: Partition) -> Partition:

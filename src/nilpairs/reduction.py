@@ -21,15 +21,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fields import FieldSpec
-from .matrix import ExactMatrix, batched_rank_sequences, jordan_matrix, jordanize_nilpotent
+from .matrix import ExactMatrix, jordan_matrix, jordanize_nilpotent
 from .partitions import Partition, equal_runs, from_core, offsets, split_core
-from .structure import BlockGrid, matches_annihilating_pattern
+from .structure import matches_annihilating_pattern
 
 __all__ = [
     "PreconditionViolated",
     "ReductionError",
     "ReducedPair",
-    "elementary_conjugation",
     "reduce",
     "is_reduced",
 ]
@@ -64,9 +63,8 @@ def _conj_add(field, a, t, ti, p: int, q: int, xi) -> None:
             row[q] = (row[q] - xi * row[p]) % mod
         tq = t[q]
         t[p] = [(x + xi * y) % mod for x, y in zip(t[p], tq)]
-        if ti is not None:
-            for row in ti:
-                row[q] = (row[q] - xi * row[p]) % mod
+        for row in ti:
+            row[q] = (row[q] - xi * row[p]) % mod
         return
     mul, sub, add = field.mul, field.sub, field.add
     rq = a[q]
@@ -75,9 +73,8 @@ def _conj_add(field, a, t, ti, p: int, q: int, xi) -> None:
         row[q] = sub(row[q], mul(xi, row[p]))
     tq = t[q]
     t[p] = [add(x, mul(xi, y)) for x, y in zip(t[p], tq)]
-    if ti is not None:
-        for row in ti:
-            row[q] = sub(row[q], mul(xi, row[p]))
+    for row in ti:
+        row[q] = sub(row[q], mul(xi, row[p]))
 
 
 def _conj_swap(a, t, ti, p: int, q: int) -> None:
@@ -87,9 +84,8 @@ def _conj_swap(a, t, ti, p: int, q: int) -> None:
     for row in a:
         row[p], row[q] = row[q], row[p]
     t[p], t[q] = t[q], t[p]
-    if ti is not None:
-        for row in ti:
-            row[p], row[q] = row[q], row[p]
+    for row in ti:
+        row[p], row[q] = row[q], row[p]
 
 
 def _conj_scale(field, a, t, ti, p: int, alpha) -> None:
@@ -101,30 +97,8 @@ def _conj_scale(field, a, t, ti, p: int, alpha) -> None:
     for row in a:
         row[p] = mul(inv, row[p])
     t[p] = [mul(alpha, x) for x in t[p]]
-    if ti is not None:
-        for row in ti:
-            row[p] = mul(inv, row[p])
-
-
-def elementary_conjugation(
-    a: ExactMatrix, i: int, ri: int, j: int, rj: int, xi, grid: BlockGrid
-) -> ExactMatrix:
-    """Conjugate by E = I + xi*e at 1-based block position (i, ri; j, rj).
-
-    Returns E * a * E^-1, computed by the paired row/column operation.
-    """
-    if not (1 <= i <= len(grid.row_partition) and 1 <= ri <= grid.row_partition[i - 1]):
-        raise ValueError(f"invalid block coordinate ({i},{ri})")
-    if not (1 <= j <= len(grid.row_partition) and 1 <= rj <= grid.row_partition[j - 1]):
-        raise ValueError(f"invalid block coordinate ({j},{rj})")
-    p = grid.row_index(i, ri)
-    q = grid.row_index(j, rj)
-    if p == q:
-        raise ValueError("elementary conjugation needs distinct positions")
-    work = a.tolists()
-    t = ExactMatrix.identity(a.field, a.nrows).tolists()
-    _conj_add(a.field, work, t, None, p, q, a.field.canon(xi))
-    return ExactMatrix(a.field, work, _canon=False)
+    for row in ti:
+        row[p] = mul(inv, row[p])
 
 
 # -- reduced pair --------------------------------------------------------------
@@ -200,7 +174,7 @@ class ReducedPair:
         }
 
     @classmethod
-    def from_json_dict(cls, doc: dict, validate: bool = True) -> "ReducedPair":
+    def from_json_dict(cls, doc: dict) -> "ReducedPair":
         from .partitions import parse_partition
 
         if not isinstance(doc, dict):
@@ -211,7 +185,7 @@ class ReducedPair:
         transform = ExactMatrix.from_json_dict(doc["transform"])
         split = split_core(mu)
         pair = cls(mu_core=split.core, ones=split.ones, lam=lam, matrix=matrix, transform=transform)
-        if validate and not is_reduced(matrix, mu, lam):
+        if not is_reduced(matrix, mu, lam):
             raise ValueError("matrix is not in reduced form for the given mu, lambda")
         return pair
 
@@ -402,21 +376,15 @@ def reduce(a: ExactMatrix, mu: Partition, validate: bool = True, _stage_hook=Non
     return pair
 
 
-def _verify(pair: ReducedPair, original: ExactMatrix, mu: Partition, tinv: ExactMatrix | None = None) -> None:
+def _verify(pair: ReducedPair, original: ExactMatrix, mu: Partition, tinv: ExactMatrix) -> None:
     matrix, transform = pair.matrix, pair.transform
     if not is_reduced(matrix, mu, pair.lam):
         raise ReductionError("pipeline output is not in reduced form")
-    if tinv is None:
-        try:
-            tinv = transform.inverse()
-        except ValueError as exc:  # pragma: no cover
-            raise ReductionError("accumulated transform is singular") from exc
-    elif transform.mul(tinv) != ExactMatrix.identity(matrix.field, matrix.nrows):
+    if transform.mul(tinv) != ExactMatrix.identity(matrix.field, matrix.nrows):
         raise ReductionError("accumulated inverse transform is wrong")  # pragma: no cover
     if transform.mul(original).mul(tinv) != matrix:
         raise ReductionError("conjugation relation transform*a*transform^-1 failed")
-    seq_in, seq_out = batched_rank_sequences([original, matrix])
-    if seq_in != seq_out:
+    if original.rank_sequence() != matrix.rank_sequence():
         raise ReductionError("rank sequence changed during reduction")  # pragma: no cover
 
 

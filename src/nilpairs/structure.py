@@ -1,10 +1,9 @@
-"""Block structure of matrices that commute with / annihilate a Jordan matrix.
+"""Block structure of matrices that annihilate a Jordan matrix.
 
-For B = J_mu the commuting matrices are exactly the block upper-triangular
-Toeplitz ones; the mutually annihilating ones additionally vanish outside a
-single corner per block.  This module exposes both the product-based and the
-structural (pattern) predicates, the list of free coordinates, and
-exhaustive / seeded generation of candidates.
+For B = J_mu the matrices A with AB = BA = 0 vanish outside a single corner
+per block.  This module exposes the product-based and the structural
+(pattern) predicate, the list of free coordinates, and exhaustive / seeded
+generation of candidates.
 """
 
 from __future__ import annotations
@@ -18,11 +17,8 @@ from .matrix import ExactMatrix, jordan_matrix
 from .partitions import Partition, offsets, split_core
 
 __all__ = [
-    "BlockGrid",
     "FreeCoordinates",
     "BudgetExceeded",
-    "is_commuting_form",
-    "matches_commuting_pattern",
     "is_annihilating_form",
     "matches_annihilating_pattern",
     "free_coordinates",
@@ -43,29 +39,6 @@ class BudgetExceeded(RuntimeError):
         super().__init__(f"enumeration needs {required} candidates, budget is {budget}")
         self.required = required
         self.budget = budget
-
-
-@dataclass(frozen=True)
-class BlockGrid:
-    """Row/column partitions with cumulative block offsets."""
-
-    row_partition: Partition
-    col_partition: Partition
-
-    @property
-    def row_offsets(self) -> tuple[int, ...]:
-        return offsets(self.row_partition)
-
-    @property
-    def col_offsets(self) -> tuple[int, ...]:
-        return offsets(self.col_partition)
-
-    def row_index(self, block: int, pos: int) -> int:
-        """Absolute 0-based row of 1-based (block, pos)."""
-        return self.row_offsets[block - 1] + pos - 1
-
-    def col_index(self, block: int, pos: int) -> int:
-        return self.col_offsets[block - 1] + pos - 1
 
 
 @dataclass(frozen=True)
@@ -105,38 +78,6 @@ def free_coordinates(mu: Partition) -> FreeCoordinates:
 
 
 # -- predicates ---------------------------------------------------------------
-
-
-def is_commuting_form(a: ExactMatrix, mu: Partition) -> bool:
-    """True iff a commutes with J_mu (checked by exact products)."""
-    _require_size(a, mu)
-    j = jordan_matrix(mu, a.field)
-    return a.mul(j) == j.mul(a)
-
-
-def matches_commuting_pattern(a: ExactMatrix, mu: Partition) -> bool:
-    """Structural twin of is_commuting_form: every block upper-triangular Toeplitz.
-
-    Block (i, j) of sizes r x c may be nonzero only on the diagonals
-    q - p >= c - min(r, c), with constant values along each diagonal.
-    """
-    _require_size(a, mu)
-    off = offsets(mu)
-    t = len(mu)
-    for bi in range(t):
-        for bj in range(t):
-            r, c = mu[bi], mu[bj]
-            lo = c - min(r, c)
-            for p in range(r):
-                for q in range(c):
-                    v = a.rows[off[bi] + p][off[bj] + q]
-                    if q - p < lo:
-                        if v != a.field.zero():
-                            return False
-                    elif p + 1 < r and q + 1 < c:
-                        if v != a.rows[off[bi] + p + 1][off[bj] + q + 1]:
-                            return False
-    return True
 
 
 def is_annihilating_form(a: ExactMatrix, mu: Partition) -> bool:

@@ -21,8 +21,8 @@ from nilpairs.characterize import (
     witness,
 )
 from nilpairs.fields import GF2, GF3
-from nilpairs.jordan import assemble_power, chain_profile, rank_formula, shape_of_reduced
-from nilpairs.matrix import batched_rank_sequences
+from nilpairs.jordan import chain_profile, rank_formula, shape_of_reduced
+from nilpairs.oracles import assemble_power
 from nilpairs.partitions import (
     Partition,
     conjugate,
@@ -177,8 +177,8 @@ def reduction_corpus_results():
                     inputs.append(a)
                     reduced.append(r)
                     stats["candidates"] += 1
-                seq_in = batched_rank_sequences(inputs)
-                seq_out = batched_rank_sequences([r.matrix for r in reduced])
+                seq_in = [a.rank_sequence() for a in inputs]
+                seq_out = [r.matrix.rank_sequence() for r in reduced]
                 for si, so in zip(seq_in, seq_out):
                     if si != so:
                         stats["bad_rank_sequence"] += 1

@@ -6,13 +6,13 @@ from nilpairs.census import (
     _gf2_ranks,
     _gfp_ranks,
     exhaustive_shape_census,
-    reference_shape_census,
     sampled_shape_census,
     verify_shapes,
 )
 from nilpairs.characterize import enumerate_shapes
 from nilpairs.fields import GF2, GF3, GF
 from nilpairs.matrix import ExactMatrix
+from nilpairs.oracles import reference_shape_census
 from nilpairs.partitions import Partition, enumerate_partitions, parse_partition, split_core
 from nilpairs.structure import (
     BudgetExceeded,

@@ -1,5 +1,6 @@
 import pytest
 
+from nilpairs import characterize
 from nilpairs.census import exhaustive_shape_census
 from nilpairs.characterize import (
     Certificate,
@@ -225,9 +226,22 @@ def test_shape_sets_are_canonically_ordered():
             assert list(shapes) == canonical_sorted(shapes)
 
 
-def test_certificate_search_guard():
+def test_certificate_search_guard(monkeypatch):
     with pytest.raises(ValueError):
         compatible(Partition([41]), Partition([41]))
+    # the pair-set enumerations take the same guard, before enumerating anything
+    assert enumerate_shapes(Partition([1] * 40))[-1] == Partition([1] * 40)
+
+    def enumerated(n):
+        raise AssertionError(f"partitions of {n} enumerated before the guard")
+
+    monkeypatch.setattr(characterize, "enumerate_partitions", enumerated)
+    with pytest.raises(ValueError):
+        enumerate_shapes(Partition([1] * 41))
+    with pytest.raises(ValueError):
+        enumerate_vnab(41, 2, 2)
+    with pytest.raises(ValueError):
+        component_pairs(41, 3)
 
 
 def test_witness_reduce_shape_roundtrip_small():

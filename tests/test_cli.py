@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -146,6 +147,24 @@ def test_vnab_and_components(capsys):
     assert ["1,1,1,1", "4"] in doc["pairs"]
     code, out = run_cli(capsys, "components", "--n", "4", "--j", "9")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("enumerate", "--mu", "1^70"),
+        ("vnab", "--n", "41", "--a", "2", "--b", "2"),
+        ("components", "--n", "41", "--j", "3"),
+    ],
+    ids=["enumerate", "vnab", "components"],
+)
+def test_enumerations_above_max_n_are_usage_errors(capsys, argv):
+    # the n <= 40 guard of the certificate search applies before any enumeration
+    t0 = time.perf_counter()
+    code, out = run_cli(capsys, *argv)
+    assert time.perf_counter() - t0 < 2.0
+    assert code == 2
+    assert json.loads(out)["kind"] == "usage"
 
 
 def test_verify_exhaustive_cli(capsys):

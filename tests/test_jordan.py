@@ -2,15 +2,9 @@ import pytest
 
 from conftest import reduced_fixture
 from nilpairs.fields import GF2, GF3, QQ
-from nilpairs.jordan import (
-    InternalInconsistency,
-    assemble_power,
-    chain_profile,
-    power_blocks,
-    rank_formula,
-    shape_of_reduced,
-)
+from nilpairs.jordan import InternalInconsistency, chain_profile, rank_formula, shape_of_reduced
 from nilpairs.matrix import ExactMatrix, jordan_matrix
+from nilpairs.oracles import assemble_power, power_blocks
 from nilpairs.partitions import Partition, enumerate_partitions, ord_parts, parse_partition
 from nilpairs.reduction import ReducedPair, reduce
 from nilpairs.structure import sample_nilpotent_candidate

@@ -6,8 +6,6 @@ from nilpairs.fields import GF, GF2, GF3, QQ, parse_field
 from nilpairs.matrix import (
     ExactMatrix,
     NotNilpotent,
-    batched_rank_sequences,
-    block_matrix,
     jordan_matrix,
     jordanize_nilpotent,
 )
@@ -25,6 +23,13 @@ def random_invertible(field, n, rnd):
         p = random_matrix(field, n, n, rnd)
         if p.rank() == n:
             return p
+
+
+def jordanize_checked(m):
+    """jordanize_nilpotent(m), asserting P^-1 * m * P == jordan_matrix(shape) exactly."""
+    p, shape = jordanize_nilpotent(m)
+    assert p.inverse().mul(m).mul(p) == jordan_matrix(shape, m.field)
+    return p, shape
 
 
 def test_multiply_examples():
@@ -112,14 +117,14 @@ def test_shape_invariant_under_conjugation(field):
 def test_jordanize_identity_on_jordan_form():
     for n in range(0, 7):
         for shape in enumerate_partitions(n):
-            p, s = jordanize_nilpotent(jordan_matrix(shape, GF3), validate=True)
+            p, s = jordanize_checked(jordan_matrix(shape, GF3))
             assert s == shape
             assert p == ExactMatrix.identity(GF3, n)
 
 
 def test_jordanize_reversal_example():
     m = jordan_matrix(Partition([4]), QQ).transpose()
-    p, shape = jordanize_nilpotent(m, validate=True)
+    p, shape = jordanize_checked(m)
     assert shape == Partition([4])
     n = 4
     rev = ExactMatrix(QQ, [[1 if i + j == n - 1 else 0 for j in range(n)] for i in range(n)])
@@ -135,35 +140,15 @@ def test_jordanize_random_nilpotent(field):
             shape = rnd.choice(enumerate_partitions(n))
             q = random_invertible(field, n, rnd)
             m = q.mul(jordan_matrix(shape, field)).mul(q.inverse())
-            p, s = jordanize_nilpotent(m, validate=True)
+            p, s = jordanize_checked(m)
             assert s == shape
             assert p.inverse().mul(m).mul(p) == jordan_matrix(s, field)
-
-
-def test_batched_rank_sequences_matches_scalar():
-    rnd = random.Random(5)
-    for field in (GF2, GF3, GF(7)):
-        mats = []
-        for _ in range(12):
-            shape = rnd.choice(enumerate_partitions(6))
-            q = random_invertible(field, 6, rnd)
-            mats.append(q.mul(jordan_matrix(shape, field)).mul(q.inverse()))
-        batched = batched_rank_sequences(mats)
-        assert batched == [m.rank_sequence() for m in mats]
 
 
 def test_power_early_exit():
     j = jordan_matrix(Partition([3, 1]), GF2)
     assert j.power(0) == ExactMatrix.identity(GF2, 4)
     assert j.power(3).is_zero() and j.power(9).is_zero()
-
-
-def test_block_matrix_roundtrip():
-    rnd = random.Random(3)
-    m = random_matrix(GF3, 5, 5, rnd)
-    tl, tr = m.submatrix(0, 2, 0, 3), m.submatrix(0, 2, 3, 5)
-    bl, br = m.submatrix(2, 5, 0, 3), m.submatrix(2, 5, 3, 5)
-    assert block_matrix(GF3, [[tl, tr], [bl, br]]) == m
 
 
 @pytest.mark.parametrize("field", FIELDS)
@@ -228,7 +213,7 @@ def test_large_prime_fields(p):
     zero = ExactMatrix.zeros(f, 1, 1)
     assert zero.rank_sequence() == [1, 0]
     assert zero.kernel_basis() == [[1]]
-    assert jordanize_nilpotent(zero, validate=True) == (ExactMatrix.identity(f, 1), Partition([1]))
+    assert jordanize_checked(zero) == (ExactMatrix.identity(f, 1), Partition([1]))
     assert ExactMatrix(f, [[p - 1]]).inverse() == ExactMatrix(f, [[p - 1]])
     assert ExactMatrix(f, [[2]]).inverse().rows == (((p + 1) // 2,),)
 
@@ -246,7 +231,7 @@ def test_large_prime_fields(p):
         assert len(basis) == len(shape)
         for v in basis:
             assert all(x == 0 for x in m.matvec(v))
-        p_mat, s = jordanize_nilpotent(m, validate=True)
+        p_mat, s = jordanize_checked(m)
         assert s == shape
 
     mu = Partition([2, 1])  # one 1-part: m = 1

@@ -10,23 +10,29 @@ from nilpairs.structure import (
     enumerate_candidates,
     free_coordinates,
     is_annihilating_form,
-    is_commuting_form,
     matches_annihilating_pattern,
-    matches_commuting_pattern,
     sample_candidate,
     sample_nilpotent_candidate,
 )
+from nilpairs.oracles import is_commuting_form, matches_commuting_pattern
 
 
 def test_commuting_form_examples():
     mu = Partition([3, 2])
     j = jordan_matrix(mu, GF3)
     assert is_commuting_form(j, mu)
-    poly = j.add(j.mul(j)).add(ExactMatrix.identity(GF3, 5))
+    j2, eye = j.mul(j), ExactMatrix.identity(GF3, 5)
+    poly = ExactMatrix(GF3, [[x + y + z for x, y, z in zip(*rs)] for rs in zip(j.rows, j2.rows, eye.rows)])
     assert is_commuting_form(poly, mu)
     bad = ExactMatrix.zeros(GF3, 3, 3).tolists()
     bad[1][0] = 1
     assert not is_commuting_form(ExactMatrix(GF3, bad), Partition([2, 1]))
+    # the pattern twin agrees with the products on every matrix with n <= 3
+    for n in range(1, 4):
+        for code in range(2 ** (n * n)):
+            a = ExactMatrix(GF2, [[(code >> (n * i + j)) & 1 for j in range(n)] for i in range(n)])
+            for mu in enumerate_partitions(n):
+                assert matches_commuting_pattern(a, mu) == is_commuting_form(a, mu), (code, mu)
 
 
 def test_annihilating_form_examples():
