@@ -385,6 +385,8 @@ def verify_shapes(
     mu = Partition(mu)
     if not field.is_finite:
         raise ValueError("verification needs a finite field")
+    if samples < 0:
+        raise ValueError(f"sample count must be non-negative, got {samples}")
     predicted = enumerate_shapes(mu)
     observed: set[Partition] = set()
     details: dict = {}

@@ -48,10 +48,13 @@ def _emit_lines(lines: list[str]) -> None:
 
 
 def _read_json(path: str) -> dict:
-    if path == "-":
-        return json.load(sys.stdin)
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        if path == "-":
+            return json.load(sys.stdin)
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except RecursionError:
+        raise ValueError(f"JSON input {path!r} is nested too deeply") from None
 
 
 def _cert_doc(cert) -> dict:

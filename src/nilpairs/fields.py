@@ -111,6 +111,8 @@ class FieldSpec:
         return int(f) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
     def entry_from_json(self, v: Any) -> Element:
+        if isinstance(v, bool):  # a bool is an int to Python, never an entry
+            raise ValueError(f"matrix entries must be numbers, got {v!r}")
         if self.kind == "gf":
             if not isinstance(v, int):
                 raise ValueError(f"GF(p) entries must be integers, got {v!r}")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .matrix import ExactMatrix, jordan_matrix
+from .matrix import ExactMatrix
 from .partitions import Partition, equal_runs, offsets, ord_parts
 from .reduction import ReducedPair
 
@@ -50,6 +50,16 @@ def _lam_transpose_at(lam: Partition, s: int) -> int:
     return sum(1 for p in lam if p >= s)
 
 
+def _jordan_shift(a: ExactMatrix, lam: Partition, e: int) -> ExactMatrix:
+    """J_lambda^e * a without a product: within each lambda block of rows, row
+    i takes row i + e when that row is in the same block, and zeros otherwise."""
+    zeros = (a.field.zero(),) * a.ncols
+    rows = []
+    for off, part in zip(offsets(lam), lam):
+        rows += a.rows[off + e : off + part] + (zeros,) * min(e, part)
+    return ExactMatrix(a.field, rows, ncols=a.ncols, _canon=False)
+
+
 def chain_profile(r: ReducedPair) -> ChainProfile:
     """Prefix ranks of X columns / Y rows and the pairing counts f, g."""
     lam = r.lam
@@ -58,21 +68,16 @@ def chain_profile(r: ReducedPair) -> ChainProfile:
     e2 = tuple(r.y_corner().transpose().column_prefix_ranks())
 
     a12, a21 = r.a12(), r.a21()
-    j = jordan_matrix(lam, r.field)
     co = offsets(r.mu_core)
     f_map: dict[int, int] = {}
     g_map: dict[int, int] = {}
     top = lam[0] if lam else 0
-    j_pow = ExactMatrix.identity(r.field, lam.n)  # J^(s-2), updated incrementally
     for s in range(2, top + 2):
-        if s > 2:
-            j_pow = j_pow.mul(j)
-        z = a12.mul(j_pow).mul(a21)
         start = e2[_lam_transpose_at(lam, s)]
         cols = [co[t + 1] - 1 for t in range(start, k)]
         if cols:
-            sub = ExactMatrix(r.field, [[z.rows[i][c] for c in cols] for i in range(z.nrows)], _canon=False)
-            f_map[s] = sub.rank()
+            y = ExactMatrix(r.field, [[row[c] for c in cols] for row in a21.rows], ncols=len(cols), _canon=False)
+            f_map[s] = a12.mul(_jordan_shift(y, lam, s - 2)).rank()
         else:
             f_map[s] = 0
         lt_prev = _lam_transpose_at(lam, s - 1)

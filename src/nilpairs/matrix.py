@@ -7,11 +7,22 @@ with an explicit change of basis.
 
 Elimination has one exact routine per representation: GF(2) rows are
 bit-packed into Python ints, every other field (GF(p) for any prime, and the
-rationals) runs on Python scalars.  numpy serves only `mul`, as an int64
-product when the entries are small enough for exact accumulation.
+rationals) runs on Python scalars.
+
+Products (`mul`, and through it `power` and `rank_sequence`; `matvec`) have
+one pure-Python path on integers: a rational row of A and column of B are
+scaled to integer vectors by the lcm of their denominators, their dot product
+is taken on Python ints, and one Fraction is built per output entry; GF(p)
+entries are integers already and the dots are reduced mod p.  numpy serves
+only `mul` over GF(p), as an int64 product when the entries are small enough
+for exact accumulation.
 """
 
 from __future__ import annotations
+
+import math
+import operator
+from fractions import Fraction
 
 import numpy as np
 
@@ -135,15 +146,10 @@ class ExactMatrix:
             b = np.array(other.rows, dtype=np.int64)
             c = (a @ b) % f.order
             return ExactMatrix(f, c.tolist(), _canon=False)
-        bt = other.transpose().rows
-        z = f.zero()
-        out = []
-        for ra in self.rows:
-            out.append([sum((x * y for x, y in zip(ra, cb)), z) for cb in bt])
-        if f.is_finite:
-            p = f.order
-            out = [[x % p for x in r] for r in out]
-        return ExactMatrix(f, out, _canon=False)
+        ia, da = _integer_vectors(self.rows, f)
+        ib, db = _integer_vectors(zip(*other.rows), f)
+        dots = [[sum(map(operator.mul, ra, cb)) for cb in ib] for ra in ia]
+        return ExactMatrix(f, [_from_integers(r, f, di, db) for r, di in zip(dots, da)], _canon=False)
 
     def power(self, e: int) -> "ExactMatrix":
         """Iterated multiplication with early exit once a power hits zero."""
@@ -160,12 +166,10 @@ class ExactMatrix:
 
     def matvec(self, v: list[Element]) -> list[Element]:
         f = self.field
-        z = f.zero()
-        out = [sum((x * y for x, y in zip(row, v)), z) for row in self.rows]
-        if f.is_finite:
-            p = f.order
-            out = [x % p for x in out]
-        return out
+        ia, da = _integer_vectors(self.rows, f)
+        (iv,), (dv,) = _integer_vectors([v], f)
+        dots = [sum(map(operator.mul, ra, iv)) for ra in ia]
+        return _from_integers(dots, f, dv, da)
 
     # -- elimination -------------------------------------------------------
 
@@ -283,6 +287,30 @@ class ExactMatrix:
         field = parse_field(doc.get("field"))
         rows = [[field.entry_from_json(v) for v in r] for r in rows]
         return cls(field, rows, _canon=False)
+
+
+# -- products on Python ints (see the module docstring) ----------------------
+
+
+def _integer_vectors(vectors, f: FieldSpec) -> tuple[list[list[int]], list[int]]:
+    """(w, d) with v == w / d entrywise for each vector v; over GF(p), (v, 1)."""
+    vectors = list(vectors)
+    if f.is_finite:
+        return vectors, [1] * len(vectors)
+    ints, scales = [], []
+    for v in vectors:
+        d = math.lcm(*(x.denominator for x in v))
+        ints.append([x.numerator * (d // x.denominator) for x in v])
+        scales.append(d)
+    return ints, scales
+
+
+def _from_integers(dots: list[int], f: FieldSpec, d: int, scales: list[int]) -> list[Element]:
+    """Field elements dots[j] / (d * scales[j])."""
+    if f.is_finite:
+        p = f.order
+        return [x % p for x in dots]
+    return [Fraction(x, d * e) if x and d * e != 1 else Fraction(x) for x, e in zip(dots, scales)]
 
 
 # -- elimination kernels ----------------------------------------------------

@@ -139,15 +139,21 @@ def from_core(core: Partition, ones: int) -> Partition:
     return Partition(tuple(core) + (1,) * ones)
 
 
+MAX_PARSE_N = 10_000  # largest total a partition string may expand to
+
+
 def parse_partition(text: str) -> Partition:
     """Parse the CLI text form, e.g. "3,3,2,1^8" (exponent shorthand expanded).
 
-    The empty string parses to the empty partition.
+    The empty string parses to the empty partition.  Raises ValueError for a
+    non-string, and for a total above MAX_PARSE_N, checked before expanding.
     """
+    if not isinstance(text, str):
+        raise ValueError(f"partition must be a string, got {text!r}")
     text = text.strip()
     if text in ("", "()"):
         return Partition()
-    parts: list[int] = []
+    runs: list[tuple[int, int]] = []  # (part, multiplicity)
     for chunk in text.split(","):
         chunk = chunk.strip()
         if not chunk:
@@ -157,10 +163,16 @@ def parse_partition(text: str) -> Partition:
             base, exp = int(base_s), int(exp_s)
             if exp < 0:
                 raise ValueError(f"negative exponent in {chunk!r}")
-            parts.extend([base] * exp)
+            runs.append((base, exp))
         else:
-            parts.append(int(chunk))
-    return Partition(parts)
+            runs.append((int(chunk), 1))
+    for part, _ in runs:
+        if part < 1:
+            raise ValueError(f"partition parts must be positive, got {part}")
+    n = sum(part * mult for part, mult in runs)
+    if n > MAX_PARSE_N:
+        raise ValueError(f"partition of {n} exceeds the limit n <= {MAX_PARSE_N}")
+    return Partition(part for part, mult in runs for _ in range(mult))
 
 
 def format_partition(p: Partition) -> str:

@@ -183,6 +183,12 @@ class ReducedPair:
         lam = parse_partition(doc["lambda"])
         matrix = ExactMatrix.from_json_dict(doc["matrix"])
         transform = ExactMatrix.from_json_dict(doc["transform"])
+        if transform.field != matrix.field:
+            raise ValueError(f"transform is over {transform.field.name}, the matrix over {matrix.field.name}")
+        if (transform.nrows, transform.ncols) != (matrix.nrows, matrix.nrows):
+            raise ValueError(
+                f"transform is {transform.nrows}x{transform.ncols}, expected {matrix.nrows}x{matrix.nrows}"
+            )
         split = split_core(mu)
         pair = cls(mu_core=split.core, ones=split.ones, lam=lam, matrix=matrix, transform=transform)
         if not is_reduced(matrix, mu, lam):
@@ -219,31 +225,22 @@ def reduce(a: ExactMatrix, mu: Partition, validate: bool = True, _stage_hook=Non
     if not a22_in.is_nilpotent():
         raise PreconditionViolated("matrix is not nilpotent")
 
-    # stage 0: bring A22 to Jordan form
-    if m:
-        p2, lam = jordanize_nilpotent(a22_in)
-        p2inv = p2.inverse()
-        q_rows = [
-            [f.one() if i == j else f.zero() for j in range(n)] for i in range(n)
-        ]
-        qinv_rows = [row[:] for row in q_rows]
-        for i in range(m):
-            for j in range(m):
-                q_rows[base + i][base + j] = p2inv.rows[i][j]
-                qinv_rows[base + i][base + j] = p2.rows[i][j]
-        q = ExactMatrix(f, q_rows, _canon=False)
-        qinv = ExactMatrix(f, qinv_rows, _canon=False)
-        current = q.mul(a).mul(qinv)
-        trans, trans_inv = q, qinv
-    else:
-        lam = Partition()
-        current = a
-        trans = ExactMatrix.identity(f, n)
-        trans_inv = trans
+    # stage 0: bring A22 to Jordan form by conjugating with diag(I, P^-1);
+    # only the blocks A12*P, P^-1*A21 and P^-1*A22*P change, and the last is
+    # J_lambda by the contract of jordanize_nilpotent (_verify re-checks the
+    # whole conjugation)
+    p2, lam = jordanize_nilpotent(a22_in)
+    p2inv = p2.inverse()
+    a12 = a.submatrix(0, base, base, n).mul(p2)
+    a21 = p2inv.mul(a.submatrix(base, n, 0, base))
+    a22 = jordan_matrix(lam, f)
+    work = [list(r[:base] + x) for r, x in zip(a.rows, a12.rows)]
+    work += [list(y + z) for y, z in zip(a21.rows, a22.rows)]
+    top = ExactMatrix.identity(f, n).rows[:base]
+    zeros = (f.zero(),) * base
+    tw = [list(r) for r in top] + [list(zeros + r) for r in p2inv.rows]
+    ti = [list(r) for r in top] + [list(zeros + r) for r in p2.rows]
 
-    work = current.tolists()
-    tw = trans.tolists()
-    ti = trans_inv.tolists()
     l = len(lam)
 
     def _stage(name: str) -> None:

@@ -7,7 +7,7 @@ from nilpairs.cli import main
 from nilpairs.matrix import ExactMatrix
 from nilpairs.partitions import parse_partition
 from nilpairs.structure import sample_nilpotent_candidate
-from nilpairs.fields import GF3
+from nilpairs.fields import GF, GF3
 
 
 def run_cli(capsys, *argv):
@@ -219,5 +219,73 @@ def test_shape_rejects_non_reduced_input(tmp_path, capsys):
     bad = tmp_path / "notreduced.json"
     bad.write_text(json.dumps(doc))
     code, out = run_cli(capsys, "shape", "--input", str(bad))
+    assert code == 2
+    assert json.loads(out)["kind"] == "usage"
+
+
+def _write_json(tmp_path, doc):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _reduced_pair_doc(lam="1", transform=None):
+    """The 3x3 zero matrix as a reduced pair for mu = 2,1 over GF(3)."""
+    return {
+        "mu": "2,1",
+        "lambda": lam,
+        "matrix": ExactMatrix.zeros(GF3, 3, 3).to_json_dict(),
+        "transform": (transform or ExactMatrix.identity(GF3, 3)).to_json_dict(),
+    }
+
+
+def test_shape_accepts_the_zero_reduced_pair(tmp_path, capsys):
+    code, out = run_cli(capsys, "shape", "--input", _write_json(tmp_path, _reduced_pair_doc()))
+    assert code == 0
+    assert json.loads(out)["shape"] == "1,1,1"
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        _reduced_pair_doc(lam=1),
+        _reduced_pair_doc(transform=ExactMatrix.identity(GF3, 1)),
+        _reduced_pair_doc(transform=ExactMatrix.identity(GF(5), 3)),
+    ],
+    ids=["non-string-lambda", "transform-1x1-for-n-3", "transform-over-another-field"],
+)
+def test_shape_bad_envelope_is_usage_error(tmp_path, capsys, doc):
+    code, out = run_cli(capsys, "shape", "--input", _write_json(tmp_path, doc))
+    assert code == 2
+    assert json.loads(out)["kind"] == "usage"
+
+
+def test_huge_partition_exponent_is_rejected_before_expanding(capsys):
+    t0 = time.perf_counter()
+    code, out = run_cli(capsys, "check", "--mu", "1^99999999999", "--nu", "3")
+    assert time.perf_counter() - t0 < 2.0
+    assert code == 2
+    assert json.loads(out)["kind"] == "usage"
+
+
+@pytest.mark.parametrize("field", ["gf2", "gf:5", "rational"])
+@pytest.mark.parametrize("value", [True, False])
+def test_boolean_matrix_entries_are_usage_errors(tmp_path, capsys, field, value):
+    path = _write_json(tmp_path, {"field": field, "rows": [[value]]})
+    code, out = run_cli(capsys, "reduce", "--mu", "1", "--input", path)
+    assert code == 2
+    assert json.loads(out)["kind"] == "usage"
+
+
+def test_verify_negative_samples_is_usage_error(capsys):
+    code, out = run_cli(capsys, "verify", "--mu", "2,1", "--field", "gf:3", "--mode", "sample", "--samples", "-5")
+    assert code == 2
+    assert json.loads(out)["kind"] == "usage"
+
+
+def test_deeply_nested_json_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    code, out = run_cli(capsys, "reduce", "--mu", "1", "--input", str(path))
     assert code == 2
     assert json.loads(out)["kind"] == "usage"

@@ -1,6 +1,7 @@
 import pytest
 
 from nilpairs.partitions import (
+    MAX_PARSE_N,
     Partition,
     canonical_sorted,
     conjugate,
@@ -111,6 +112,17 @@ def test_parse_and_format():
     for n in range(0, 12):
         for p in enumerate_partitions(n):
             assert parse_partition(format_partition(p)) == p
+
+
+def test_parse_limits_checked_before_expanding():
+    assert parse_partition(f"2,1^{MAX_PARSE_N - 2}").n == MAX_PARSE_N
+    # each of these would take minutes and gigabytes to expand
+    for text in (f"1^{MAX_PARSE_N + 1}", "1^99999999999", "5,-2^99999999999", "0^99999999999"):
+        with pytest.raises(ValueError):
+            parse_partition(text)
+    for value in (1, None, ["2", "1"]):
+        with pytest.raises(ValueError):
+            parse_partition(value)
 
 
 def test_offsets_and_equal_runs():

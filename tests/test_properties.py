@@ -1,8 +1,11 @@
-"""Hypothesis properties of the exact elimination cores and of `reduce` over QQ.
+"""Hypothesis properties of the exact elimination cores, the products and `reduce` over QQ.
 
 The cores are checked over GF(2) (bit-packed rows), GF(3), GF(2^31 - 1) and
 QQ (Python scalars).  Matrices are drawn as products of an r x k and a k x c
-factor, so every rank from zero to full occurs.  The reduction properties
+factor, so every rank from zero to full occurs.  `mul` and `matvec` are
+compared with a triple loop (Fraction over QQ, big ints mod p over
+GF(2^31 - 1)), and the row shift that stands for J_lambda^e in
+`chain_profile` with the product it replaces.  The reduction properties
 use integer inputs whose ones block is a unimodular conjugate of J_lambda,
 which puts the rational path under the same invariants as the GF(p) corpus.
 """
@@ -15,9 +18,9 @@ from hypothesis import strategies as st
 
 from nilpairs.characterize import enumerate_shapes
 from nilpairs.fields import GF, GF2, GF3, QQ
-from nilpairs.jordan import chain_profile, rank_formula, shape_of_reduced
+from nilpairs.jordan import _jordan_shift, chain_profile, rank_formula, shape_of_reduced
 from nilpairs.matrix import ExactMatrix, jordan_matrix
-from nilpairs.partitions import Partition, from_core
+from nilpairs.partitions import Partition, enumerate_partitions, from_core
 from nilpairs.reduction import is_reduced, reduce
 from nilpairs.structure import free_coordinates, matches_annihilating_pattern
 
@@ -78,6 +81,83 @@ def test_inverse_round_trips(field, data):
     inv = a.inverse()
     assert a.mul(inv) == ExactMatrix.identity(field, n)
     assert inv.mul(a) == ExactMatrix.identity(field, n)
+
+
+# -- products against independent references ------------------------------------
+
+
+def naive_product(a_rows, b_rows, ncols, add_mul):
+    """Triple loop: entry (i, j) folds add_mul(acc, a[i][t], b[t][j]) over t."""
+    out = []
+    for ra in a_rows:
+        row = []
+        for j in range(ncols):
+            acc = 0
+            for t, x in enumerate(ra):
+                acc = add_mul(acc, x, b_rows[t][j])
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+@st.composite
+def product_operands(draw, entry):
+    """(A, B, v) with A r x k, B k x c, v of length k; r, k, c in 0..5, some rows of A zero."""
+    r, k, c = (draw(st.integers(0, 5)) for _ in range(3))
+    a = [draw(st.lists(entry, min_size=k, max_size=k)) for _ in range(r)]
+    for i in draw(st.sets(st.integers(0, max(r - 1, 0)), max_size=r)):
+        a[i] = [0] * k
+    b = [draw(st.lists(entry, min_size=c, max_size=c)) for _ in range(k)]
+    v = draw(st.lists(entry, min_size=k, max_size=k))
+    return (r, k, c), a, b, v
+
+
+WIDE_RATIONALS = st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(1, 10**6))
+
+
+@given(product_operands(WIDE_RATIONALS))
+def test_rational_products_match_a_fraction_triple_loop(case):
+    (r, k, c), a, b, v = case
+    am, bm = ExactMatrix(QQ, a, ncols=k), ExactMatrix(QQ, b, ncols=c)
+
+    def add_mul(acc, x, y):
+        return acc + Fraction(x) * Fraction(y)
+
+    prod = am.mul(bm)
+    assert (prod.nrows, prod.ncols) == (r, c)
+    assert prod == ExactMatrix(QQ, naive_product(a, b, c, add_mul), ncols=c)
+    assert am.matvec([Fraction(x) for x in v]) == [row[0] for row in naive_product(a, [[x] for x in v], 1, add_mul)]
+
+
+@given(product_operands(st.integers(0, 2**31 - 2)))
+def test_large_prime_products_match_a_big_int_reference(case):
+    p = 2**31 - 1
+    (r, k, c), a, b, v = case
+    am, bm = ExactMatrix(GF(p), a, ncols=k), ExactMatrix(GF(p), b, ncols=c)
+
+    def add_mul(acc, x, y):
+        return (acc + x * y) % p
+
+    assert am.mul(bm) == ExactMatrix(GF(p), naive_product(a, b, c, add_mul), ncols=c)
+    assert am.matvec(v) == [row[0] for row in naive_product(a, [[x] for x in v], 1, add_mul)]
+
+
+@pytest.mark.parametrize(
+    "lam", [lam for m in range(1, 7) for lam in enumerate_partitions(m)], ids=lambda lam: ",".join(map(str, lam))
+)
+@given(data=st.data())
+def test_jordan_shift_matches_the_jordan_power_product(lam, data):
+    field = data.draw(st.sampled_from([GF3, QQ]))
+    e = entries(field)
+    m = lam.n
+    r, c = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
+    a12 = ExactMatrix(field, data.draw(st.lists(st.lists(e, min_size=m, max_size=m), min_size=r, max_size=r)), ncols=m)
+    a21 = ExactMatrix(field, data.draw(st.lists(st.lists(e, min_size=c, max_size=c), min_size=m, max_size=m)), ncols=c)
+    j = jordan_matrix(lam, field)
+    j_pow = ExactMatrix.identity(field, m)
+    for s in range(2, lam[0] + 3):
+        assert a12.mul(_jordan_shift(a21, lam, s - 2)) == a12.mul(j_pow).mul(a21)
+        j_pow = j_pow.mul(j)
 
 
 # -- reduce over QQ ----------------------------------------------------------------
