@@ -26,13 +26,10 @@ from .partitions import (
 from .structure import (
     BudgetExceeded,
     FreeCoordinates,
-    candidate_at,
     candidate_count,
-    enumerate_candidates,
     free_coordinates,
     is_annihilating_form,
     matches_annihilating_pattern,
-    sample_candidate,
     sample_nilpotent_candidate,
 )
 from .reduction import (

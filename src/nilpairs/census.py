@@ -1,41 +1,31 @@
-"""Brute-force shape censuses over finite fields, exhaustive or sampled.
+"""Brute-force shape censuses over finite fields, exhaustive or sampled, and `verify`.
 
-The exhaustive census tallies the Jordan shapes of every nilpotent
-annihilating-form candidate for a given mu.  Such a candidate is nilpotent
-exactly when its m x m ones block A22 is, and p^(m^2 - m) of the p^(m^2)
-blocks are (Fine-Herstein), so the census walks the A22 space, keeps the
-nilpotent blocks, and crosses them with every assignment of the outer free
-coordinates: it builds only the p^(F - m) nilpotent candidates of the p^F.
-The sampled census draws whole candidates and keeps those whose A22 is
-nilpotent.  The engine works on whole batches of candidates: over GF(2)
-with n <= 32 each row is a uint32 bitmask, otherwise each matrix is an int64
-array (wider GF(2) matrices run there mod 2), and the shapes come from the
-ranks of successive powers, taken by one rank-only batched elimination per
-representation (`_gf2_ranks`, `_gfp_ranks`) and tallied once per distinct
-rank sequence.  Its per-matrix cross-check twin is
-`oracles.reference_shape_census`.
-`verify_shapes` is the CLI engine: it additionally computes every shape
-twice (rank-sequence oracle and reduction formulas) and demands agreement
-matrix by matrix.
+A candidate (an annihilating-form matrix for mu) is nilpotent exactly when
+its m x m ones block A22 is, and p^(m^2 - m) of the p^(m^2) blocks are
+(Fine-Herstein).  So the exhaustive stream crosses the nilpotent A22 blocks
+with every assignment of the outer free coordinates, building only the
+p^(F - m) nilpotent candidates of the p^F, and the sampled stream keeps the
+draws whose A22 is nilpotent.  Both yield batches of candidates with their
+positions, and both censuses and `verify_shapes` read them.  A batch holds
+uint32 bit rows over GF(2) up to n = 32, else int64 matrices (GF(2) mod 2
+beyond), else, once n x n products could pass 2^62, Python ints.  Shapes come
+from the ranks of successive powers (`_gf2_ranks`, `_gfp_ranks`), converted
+once per distinct rank row; `verify_shapes` also takes every candidate's shape
+through reduce -> shape_of_reduced and demands agreement.  The per-matrix
+twins of the streams and of the census are in `nilpairs.oracles`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from typing import Iterator
 
 import numpy as np
 
 from .fields import FieldSpec
-from .matrix import ExactMatrix, _np_safe
+from .matrix import ExactMatrix, _np_safe, _unpack_gf2
 from .partitions import Partition, canonical_sorted, conjugate, format_partition, split_core
-from .structure import (
-    DEFAULT_BUDGET,
-    BudgetExceeded,
-    candidate_count,
-    enumerate_candidates,
-    free_coordinates,
-    sample_candidate,
-)
+from .structure import DEFAULT_BUDGET, BudgetExceeded, candidate_count, free_coordinates
 
 __all__ = [
     "VerifyReport",
@@ -47,26 +37,29 @@ __all__ = [
 _BATCH = 1 << 18
 _GF2_BITS = 32  # columns a uint32 bit row holds; wider GF(2) runs on int64 mod 2
 _INT64_CELLS = 1 << 24  # matrix entries per int64 batch, so memory stays bounded
-_A22_CACHE = 1 << 16  # A22 nilpotency verdicts verify_shapes keeps
+_OBJECT_CELLS = 1 << 18  # the same for batches of Python ints, one object per entry
+_DISAGREEMENTS = 20  # shape disagreements a verify report lists, lowest index first
 
 
-def _int64_batch(n: int, cap: int) -> int:
-    return max(1, min(cap, _INT64_CELLS // (n * n)))
+def _int64_batch(n: int, cap: int, dtype=np.int64) -> int:
+    """Matrices per batch of int64 (or, with dtype=object, Python-int) stacks."""
+    cells = _INT64_CELLS if dtype is np.int64 else _OBJECT_CELLS
+    return max(1, min(cap, cells // (n * n)))
 
 
-def _tally(rank_mat: np.ndarray, n: int) -> dict[Partition, int]:
-    """Shape -> count from rank rows [rk(A^0), rk(A^1), ...], zero-padded.
+def _classes(rank_mat: np.ndarray, n: int) -> tuple[list[Partition], np.ndarray, np.ndarray]:
+    """(shape of each distinct row, each row's class, class sizes) of rank rows.
 
-    A rank row falls strictly to 0, so the set of its values, as a bit mask,
-    identifies it; each distinct row is converted to its shape once.
+    Rows are [rk(A^0), rk(A^1), ...], zero-padded.  A rank row falls strictly
+    to 0, so the set of its values, as a bit mask, identifies it.
     """
     dtype = np.int64 if n < 63 else object
     codes = np.bitwise_or.reduce(np.left_shift(np.ones(1, dtype=dtype), rank_mat.astype(dtype)), axis=1)
-    _, first, counts = np.unique(codes, return_index=True, return_counts=True)
-    out: dict[Partition, int] = {}
-    for seq, cnt in zip(rank_mat[first].tolist(), counts.tolist()):
-        out[conjugate(Partition([a - b for a, b in zip(seq, seq[1:]) if a > b]))] = cnt
-    return out
+    _, first, inverse, counts = np.unique(codes, return_index=True, return_inverse=True, return_counts=True)
+    shapes = [
+        conjugate(Partition([a - b for a, b in zip(seq, seq[1:]) if a > b])) for seq in rank_mat[first].tolist()
+    ]
+    return shapes, inverse, counts
 
 
 # -- GF(2), bit-packed -----------------------------------------------------------
@@ -81,15 +74,6 @@ def _gf2_matmul(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
             acc ^= (-((col >> np.uint32(j)) & np.uint32(1)).astype(np.int64)).astype(np.uint32) & b[:, j]
         out[:, i] = acc
     return out
-
-
-def _gf2_nilpotent_mask(rows: np.ndarray, n: int) -> np.ndarray:
-    power = rows
-    e = 1
-    while e < n:
-        power = _gf2_matmul(power, power, n)
-        e *= 2
-    return ~power.any(axis=1)
 
 
 def _gf2_ranks(rows: np.ndarray, n: int) -> np.ndarray:
@@ -124,15 +108,6 @@ def _gf2_rank_rows(rows: np.ndarray, n: int) -> np.ndarray:
 
 
 # -- GF(p), batched matmul ---------------------------------------------------------
-
-
-def _gfp_nilpotent_mask(mats: np.ndarray, n: int, p: int) -> np.ndarray:
-    power = mats
-    e = 1
-    while e < n:
-        power = np.matmul(power, power) % p
-        e *= 2
-    return ~power.any(axis=(1, 2))
 
 
 def _gfp_ranks(mats: np.ndarray, p: int) -> np.ndarray:
@@ -180,21 +155,19 @@ def _gfp_rank_rows(mats: np.ndarray, n: int, p: int) -> np.ndarray:
 # -- batches of candidates ----------------------------------------------------------
 #
 # Stacks of candidates are built from odometer indices (exhaustive) or from
-# drawn values (sampled); `bits` selects the representation, uint32 bit rows
-# or int64 matrices, and every later step is shared.
+# drawn values (sampled); `dtype` selects the representation, uint32 bit rows,
+# int64 matrices or Python-int matrices, and every later step is shared.
 
 
-def _bit_rows(n: int, field: FieldSpec) -> bool:
-    """True when n x n candidates go in uint32 bit rows; else checks int64 stays exact.
+def _dtype(n: int, field: FieldSpec):
+    """uint32 bit rows for GF(2) with n <= 32, else int64 while exact, else Python ints.
 
-    Every product the census takes is of n x n matrices (A22 ones included,
-    m <= n), so the int64 bound is tied to n.
+    Every product taken is of n x n matrices (A22 ones included), so the
+    int64 bound is tied to n.
     """
     if field.order == 2 and n <= _GF2_BITS:
-        return True
-    if not _np_safe(field, n):
-        raise ValueError(f"census int64 products need n*(p-1)^2 < 2^62, got n={n}, p={field.order}")
-    return False
+        return np.uint32
+    return np.int64 if _np_safe(field, n) else object
 
 
 def _a22_split(mu: Partition, positions) -> tuple[int, list[int], list[int], list[tuple[int, int]]]:
@@ -206,27 +179,27 @@ def _a22_split(mu: Partition, positions) -> tuple[int, list[int], list[int], lis
     return m, outer, inner, [(positions[f][0] - base, positions[f][1] - base) for f in inner]
 
 
-def _stack(vals: np.ndarray, positions, n: int, bits: bool) -> np.ndarray:
+def _stack(vals: np.ndarray, positions, n: int, dtype) -> np.ndarray:
     """B matrices of size n x n with the values vals[f] (shape (F, B)) at positions[f]."""
     b = vals.shape[1]
-    if bits:
+    if dtype is np.uint32:
         rows = np.zeros((b, n), dtype=np.uint32)
         for f, (r, c) in enumerate(positions):
             rows[:, r] |= vals[f].astype(np.uint32) << np.uint32(c)
         return rows
-    mats = np.zeros((b, n, n), dtype=np.int64)
+    mats = np.zeros((b, n, n), dtype=dtype)
     for f, (r, c) in enumerate(positions):
         mats[:, r, c] = vals[f]
     return mats
 
 
-def _index_stack(idx: np.ndarray, positions, n: int, p: int, bits: bool) -> np.ndarray:
+def _index_stack(idx: np.ndarray, positions, n: int, p: int, dtype) -> np.ndarray:
     """n x n matrices holding the odometer digits of each index at `positions`.
 
     The first position takes the most significant digit.
     """
     last = len(positions) - 1
-    if bits:
+    if dtype is np.uint32:
         rows = np.zeros((idx.shape[0], n), dtype=np.uint32)
         for f, (r, c) in enumerate(positions):
             rows[:, r] |= ((idx >> (last - f)) & 1).astype(np.uint32) << np.uint32(c)
@@ -236,20 +209,96 @@ def _index_stack(idx: np.ndarray, positions, n: int, p: int, bits: bool) -> np.n
     for f in range(last, -1, -1):
         digits[f] = rem % p
         rem //= p
-    return _stack(digits, positions, n, bits)
+    return _stack(digits, positions, n, dtype)
 
 
 def _nilpotent_mask(mats: np.ndarray, n: int, p: int, bits: bool) -> np.ndarray:
-    return _gf2_nilpotent_mask(mats, n) if bits else _gfp_nilpotent_mask(mats, n, p)
+    power, e = mats, 1
+    while e < n:
+        power = _gf2_matmul(power, power, n) if bits else np.matmul(power, power) % p
+        e *= 2
+    return ~power.any(axis=1 if bits else (1, 2))
+
+
+def _rank_rows(mats: np.ndarray, n: int, p: int, bits: bool) -> np.ndarray:
+    return _gf2_rank_rows(mats, n) if bits else _gfp_rank_rows(mats, n, p)
 
 
 def _add_shape_counts(counts: dict[Partition, int], mats: np.ndarray, n: int, p: int, bits: bool) -> None:
     """Add the shapes of a stack of nilpotent n x n candidates to `counts`."""
     if mats.shape[0] == 0:
         return
-    ranks = _gf2_rank_rows(mats, n) if bits else _gfp_rank_rows(mats, n, p)
-    for shape, cnt in _tally(ranks, n).items():
+    shapes, _, sizes = _classes(_rank_rows(mats, n, p, bits), n)
+    for shape, cnt in zip(shapes, sizes.tolist()):
         counts[shape] = counts.get(shape, 0) + cnt
+
+
+# -- the candidate streams ------------------------------------------------------------
+
+
+def _exhaustive_stream(
+    mu: Partition, field: FieldSpec, budget: int
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Batches (candidates, A22 index, outer index) of every nilpotent candidate.
+
+    Each index is an odometer index over its own free coordinates; the A22
+    blocks are walked in chunks and the nilpotent ones crossed with every
+    outer assignment.
+    """
+    total = candidate_count(mu, field)
+    if total > budget:
+        raise BudgetExceeded(total, budget)
+    free = free_coordinates(mu)
+    n = mu.n
+    p = field.order
+    dtype = _dtype(n, field)
+    bits = dtype is np.uint32
+    m, outer, inner, local = _a22_split(mu, free.positions)
+    base = n - m
+    outer_positions = [free.positions[f] for f in outer]
+    n_a22 = p ** len(inner)
+    n_outer = p ** len(outer)
+    step = _BATCH if bits else _int64_batch(n, _BATCH, dtype)
+    for a0 in range(0, n_a22, step):
+        a22_idx = np.arange(a0, min(a0 + step, n_a22), dtype=np.int64)
+        a22 = _index_stack(a22_idx, local, m, p, dtype)
+        keep = _nilpotent_mask(a22, m, p, bits)
+        kept, a22_idx = a22[keep], a22_idx[keep]
+        size = kept.shape[0] * n_outer
+        for start in range(0, size, step):
+            j = np.arange(start, min(start + step, size), dtype=np.int64)
+            outer_idx, k = j % n_outer, j // n_outer
+            mats = _index_stack(outer_idx, outer_positions, n, p, dtype)
+            if bits:
+                mats[:, base:] |= kept[k] << np.uint32(base)
+            else:
+                mats[:, base:, base:] = kept[k]
+            yield mats, a22_idx[k], outer_idx
+
+
+def _sampled_stream(
+    mu: Partition, field: FieldSpec, samples: int, seed: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Batches (candidates, sample index) of the nilpotent draws among `samples`.
+
+    Sample i takes splitmix64 stream positions [i*F, (i+1)*F) of `seed`, as
+    oracles.sample_candidate(..., index=i) does.
+    """
+    from . import rng
+
+    free = free_coordinates(mu)
+    n = mu.n
+    p = field.order
+    nf = len(free)
+    dtype = _dtype(n, field)
+    bits = dtype is np.uint32
+    m, _, inner, local = _a22_split(mu, free.positions)
+    step = _BATCH // 4 if bits else _int64_batch(n, _BATCH // 4, dtype)
+    for start in range(0, samples, step):
+        stop = min(start + step, samples)
+        vals = rng.values_mod_np(seed, start * nf, (stop - start) * nf, p).reshape(stop - start, nf).T
+        keep = _nilpotent_mask(_stack(vals[inner], local, m, dtype), m, p, bits)
+        yield _stack(vals[:, keep], free.positions, n, dtype), start + np.flatnonzero(keep)
 
 
 # -- public censuses ------------------------------------------------------------------
@@ -258,39 +307,11 @@ def _add_shape_counts(counts: dict[Partition, int], mats: np.ndarray, n: int, p:
 def exhaustive_shape_census(
     mu: Partition, field: FieldSpec, budget: int = DEFAULT_BUDGET
 ) -> dict[Partition, int]:
-    """Shape -> count over all nilpotent annihilating-form candidates (vectorized).
-
-    The A22 blocks are walked in chunks; the nilpotent ones are crossed with
-    every assignment of the outer free coordinates, so only the p^(F - m)
-    nilpotent candidates of the p^F are built.
-    """
+    """Shape -> count over all nilpotent annihilating-form candidates (vectorized)."""
     mu = Partition(mu)
-    total = candidate_count(mu, field)
-    if total > budget:
-        raise BudgetExceeded(total, budget)
-    free = free_coordinates(mu)
-    n = mu.n
-    p = field.order
-    bits = _bit_rows(n, field)
-    m, outer, inner, local = _a22_split(mu, free.positions)
-    base = n - m
-    outer_positions = [free.positions[f] for f in outer]
-    n_a22 = p ** len(inner)
-    n_outer = p ** len(outer)
-    step = _BATCH if bits else _int64_batch(n, _BATCH)
     counts: dict[Partition, int] = {}
-    for a0 in range(0, n_a22, step):
-        a22 = _index_stack(np.arange(a0, min(a0 + step, n_a22), dtype=np.int64), local, m, p, bits)
-        kept = a22[_nilpotent_mask(a22, m, p, bits)]
-        size = kept.shape[0] * n_outer
-        for start in range(0, size, step):
-            j = np.arange(start, min(start + step, size), dtype=np.int64)
-            mats = _index_stack(j % n_outer, outer_positions, n, p, bits)
-            if bits:
-                mats[:, base:] |= kept[j // n_outer] << np.uint32(base)
-            else:
-                mats[:, base:, base:] = kept[j // n_outer]
-            _add_shape_counts(counts, mats, n, p, bits)
+    for mats, *_ in _exhaustive_stream(mu, field, budget):
+        _add_shape_counts(counts, mats, mu.n, field.order, mats.dtype == np.uint32)
     return counts
 
 
@@ -299,29 +320,14 @@ def sampled_shape_census(
 ) -> tuple[dict[Partition, int], int]:
     """Shape -> count over nilpotent candidates among `samples` seeded draws.
 
-    Sample i uses splitmix64 stream positions [i*F, (i+1)*F) of `seed`, the
-    same stream as structure.sample_candidate(..., index=i); a draw is kept
-    when its A22 block is nilpotent.  Returns the counts and the number of
-    nilpotent samples.
+    Returns the counts and the number of nilpotent samples.
     """
-    from . import rng
-
     mu = Partition(mu)
-    free = free_coordinates(mu)
-    n = mu.n
-    p = field.order
-    nf = len(free)
-    bits = _bit_rows(n, field)
-    m, _, inner, local = _a22_split(mu, free.positions)
     counts: dict[Partition, int] = {}
     nilp_total = 0
-    step = _BATCH // 4 if bits else _int64_batch(n, _BATCH // 4)
-    for start in range(0, samples, step):
-        stop = min(start + step, samples)
-        vals = rng.values_mod_np(seed, start * nf, (stop - start) * nf, p).reshape(stop - start, nf).T
-        nilp = vals[:, _nilpotent_mask(_stack(vals[inner], local, m, bits), m, p, bits)]
-        nilp_total += nilp.shape[1]
-        _add_shape_counts(counts, _stack(nilp, free.positions, n, bits), n, p, bits)
+    for mats, _ in _sampled_stream(mu, field, samples, seed):
+        nilp_total += mats.shape[0]
+        _add_shape_counts(counts, mats, mu.n, field.order, mats.dtype == np.uint32)
     return counts, nilp_total
 
 
@@ -373,10 +379,13 @@ def verify_shapes(
 ) -> VerifyReport:
     """Compare predicted shapes against brute force, dual-checking each matrix.
 
-    Every nilpotent candidate's shape is computed both from its rank sequence
-    and through reduce -> shape_of_reduced; any disagreement, or any observed
-    shape outside the prediction, yields a mismatch verdict.  Exhaustive mode
-    additionally requires every predicted shape to be observed.
+    Reads the census stream of the mode.  Every nilpotent candidate's shape
+    is taken from its batch's rank rows and again through reduce ->
+    shape_of_reduced; any disagreement (the lowest 20 indices are reported:
+    odometer indices in exhaustive mode, sample indices in sample mode), or
+    any observed shape outside the prediction, yields a mismatch verdict.
+    Exhaustive mode additionally requires every predicted shape to be
+    observed.
     """
     from .characterize import enumerate_shapes
     from .jordan import shape_of_reduced
@@ -391,40 +400,44 @@ def verify_shapes(
     observed: set[Partition] = set()
     details: dict = {}
 
+    n, p = mu.n, field.order
     if mode == "exhaustive":
-        candidates = enumerate_candidates(mu, field, budget)
+        stream = _exhaustive_stream(mu, field, budget)
+        free = free_coordinates(mu)
+        _, outer, inner, _ = _a22_split(mu, free.positions)
+
+        def index_of(a22_idx, outer_idx) -> int:
+            # each index holds the digits of its own coordinates, the first most
+            # significant; the odometer interleaves all F of them
+            parts = ((int(a22_idx), inner), (int(outer_idx), outer))
+            digit = {f: i // p ** (len(fs) - 1 - d) % p for i, fs in parts for d, f in enumerate(fs)}
+            return sum(v * p ** (len(free) - 1 - f) for f, v in digit.items())
+
     elif mode == "sample":
-        candidates = (sample_candidate(mu, field, seed, index=i) for i in range(samples))
+        stream = _sampled_stream(mu, field, samples, seed)
+        index_of = int
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    # a candidate is nilpotent iff its A22 block is; blocks recur across the
-    # outer coordinates, so each verdict is kept (up to _A22_CACHE blocks)
-    m = split_core(mu).ones
-    base = mu.n - m
-    nilpotent_a22: dict[tuple, bool] = {}
-    disagreements = []
-    for i, cand in enumerate(candidates):
-        a22 = tuple(r[base:] for r in cand.rows[base:])
-        nilp = nilpotent_a22.get(a22)
-        if nilp is None:
-            nilp = ExactMatrix(field, a22, ncols=m, _canon=False).is_nilpotent()
-            if len(nilpotent_a22) < _A22_CACHE:
-                nilpotent_a22[a22] = nilp
-        if not nilp:
-            continue
-        shape = cand.nilpotent_shape()
-        formula_shape = shape_of_reduced(reduce_form(cand, mu))
-        if formula_shape != shape:
-            disagreements.append(
-                {"index": i, "oracle": format_partition(shape), "formula": format_partition(formula_shape)}
-            )
-        observed.add(shape)
+    disagreements: list[dict] = []
+    for mats, *where in stream:
+        bits = mats.dtype == np.uint32
+        shapes, inverse, _ = _classes(_rank_rows(mats, n, p, bits), n)
+        observed.update(shapes)
+        for k, cls in enumerate(inverse.tolist()):
+            rows = mats[k].tolist()
+            cand = ExactMatrix(field, _unpack_gf2(rows, n) if bits else rows, ncols=n, _canon=False)
+            formula = shape_of_reduced(reduce_form(cand, mu))
+            if formula != shapes[cls]:
+                pair = dict(oracle=format_partition(shapes[cls]), formula=format_partition(formula))
+                disagreements.append(dict(index=index_of(*(w[k] for w in where)), **pair))
+        disagreements.sort(key=lambda d: d["index"])
+        del disagreements[_DISAGREEMENTS:]
 
     pred_set = set(predicted)
     if disagreements:
         verdict = "mismatch"
-        details["shape_disagreements"] = disagreements[:20]
+        details["shape_disagreements"] = disagreements
     elif not observed <= pred_set:
         verdict = "mismatch"
         details["unexpected"] = [format_partition(s) for s in canonical_sorted(observed - pred_set)]

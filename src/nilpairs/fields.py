@@ -16,17 +16,17 @@ __all__ = ["FieldSpec", "GF", "GF2", "GF3", "QQ", "parse_field"]
 Element = Any  # int for GF(p), Fraction for the rationals
 
 
+_MAX_MODULUS = 2**63  # rng.values_mod_np and the census digit arrays hold entries in int64
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p % 2 == 0:
-        return p == 2
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
-    return True
+    """Deterministic Miller-Rabin: the prime bases up to 37 are exact for every p < 2^64."""
+    if p < 2 or any(p % a == 0 for a in _WITNESSES):
+        return p in _WITNESSES
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d * 2^s with d odd
+    d = (p - 1) >> s
+    return all(pow(a, d, p) == 1 or any(pow(a, d << r, p) == p - 1 for r in range(s)) for a in _WITNESSES)
 
 
 @dataclass(frozen=True)
@@ -38,6 +38,8 @@ class FieldSpec:
 
     def __post_init__(self) -> None:
         if self.kind == "gf":
+            if self.p is not None and self.p >= _MAX_MODULUS:
+                raise ValueError(f"GF modulus must be below 2^63, got {self.p}")
             if self.p is None or not _is_prime(self.p):
                 raise ValueError(f"GF modulus must be prime, got {self.p}")
         elif self.kind == "rational":

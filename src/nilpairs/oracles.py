@@ -1,23 +1,32 @@
 """Reference twins of the pipeline, kept as independent cross-checks.
 
 Each function recomputes, by the slow and obvious route, something the
-package computes structurally or in batches: the shape census by testing
-every candidate on its own, the commuting form by exact products and by its
-block Toeplitz pattern, the powers of a reduced matrix by block products, and
-one elementary conjugation by the paired row/column move.  The test suite
-checks the pipeline against them.  Nothing in the package calls this module
-and `nilpairs` does not re-export it.
+package computes structurally or in batches: the candidate streams of the
+censuses one matrix at a time (`enumerate_candidates` and `candidate_at` in
+odometer order, `sample_candidate` in splitmix64 stream order), the shape
+census by testing every candidate on its own, the commuting form by exact
+products and by its block Toeplitz pattern, the powers of a reduced matrix by
+block products, and one elementary conjugation by the paired row/column move.
+The test suite checks the pipeline against them.  Nothing in the package
+calls this module and `nilpairs` does not re-export it.
 """
 
 from __future__ import annotations
 
+import itertools
+from typing import Iterator
+
+from . import rng
 from .fields import FieldSpec
 from .matrix import ExactMatrix, jordan_matrix
 from .partitions import Partition, offsets
 from .reduction import ReducedPair, _conj_add
-from .structure import DEFAULT_BUDGET, _require_size, enumerate_candidates
+from .structure import DEFAULT_BUDGET, BudgetExceeded, _require_size, candidate_count, free_coordinates
 
 __all__ = [
+    "candidate_at",
+    "enumerate_candidates",
+    "sample_candidate",
     "reference_shape_census",
     "is_commuting_form",
     "matches_commuting_pattern",
@@ -25,6 +34,55 @@ __all__ = [
     "assemble_power",
     "elementary_conjugation",
 ]
+
+
+def _place(n: int, field: FieldSpec, positions, values) -> ExactMatrix:
+    """The n x n candidate with values[f] at positions[f] and zeros elsewhere."""
+    rows = [[0] * n for _ in range(n)]
+    for (r, c), v in zip(positions, values):
+        rows[r][c] = v
+    return ExactMatrix(field, rows, _canon=False)
+
+
+def candidate_at(mu: Partition, field: FieldSpec, index: int) -> ExactMatrix:
+    """Candidate at a given odometer position.
+
+    Coordinates are row-major; the first coordinate is the most significant
+    digit, so the last free coordinate cycles fastest.
+    """
+    free = free_coordinates(mu)
+    q, nf = field.order, len(free)
+    if not 0 <= index < q**nf:
+        raise ValueError(f"candidate index {index} out of range [0, {q**nf})")
+    return _place(mu.n, field, free.positions, [index // q ** (nf - 1 - f) % q for f in range(nf)])
+
+
+def enumerate_candidates(
+    mu: Partition, field: FieldSpec, budget: int = DEFAULT_BUDGET
+) -> Iterator[ExactMatrix]:
+    """Yield every annihilating-form candidate exactly once (odometer order).
+
+    Raises BudgetExceeded up front when |F|^((k+m)^2) > budget.  Candidates
+    are not filtered for nilpotency.
+    """
+    total = candidate_count(mu, field)
+    if total > budget:
+        raise BudgetExceeded(total, budget)
+    positions = free_coordinates(mu).positions
+    for digits in itertools.product(range(field.order), repeat=len(positions)):
+        yield _place(mu.n, field, positions, digits)
+
+
+def sample_candidate(mu: Partition, field: FieldSpec, seed: int, index: int = 0) -> ExactMatrix:
+    """Deterministic pseudorandom assignment to the free coordinates.
+
+    Sample `index` draws splitmix64 stream positions [index*F, (index+1)*F)
+    of the stream keyed by `seed`, so a (seed, index) pair pins the matrix.
+    Not necessarily nilpotent.
+    """
+    free = free_coordinates(mu)
+    vals = rng.values_mod(seed, index * len(free), len(free), field.order)
+    return _place(mu.n, field, free.positions, vals)
 
 
 def reference_shape_census(

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .fields import FieldSpec
-from .matrix import ExactMatrix, jordan_matrix, jordanize_nilpotent
+from .matrix import ExactMatrix, NotNilpotent, jordan_matrix, jordanize_nilpotent
 from .partitions import Partition, equal_runs, from_core, offsets, split_core
 from .structure import matches_annihilating_pattern
 
@@ -221,15 +221,14 @@ def reduce(a: ExactMatrix, mu: Partition, validate: bool = True, _stage_hook=Non
     k = len(core)
     base = n - m
 
-    a22_in = a.submatrix(base, n, base, n)
-    if not a22_in.is_nilpotent():
-        raise PreconditionViolated("matrix is not nilpotent")
-
     # stage 0: bring A22 to Jordan form by conjugating with diag(I, P^-1);
     # only the blocks A12*P, P^-1*A21 and P^-1*A22*P change, and the last is
     # J_lambda by the contract of jordanize_nilpotent (_verify re-checks the
-    # whole conjugation)
-    p2, lam = jordanize_nilpotent(a22_in)
+    # whole conjugation).  The matrix is nilpotent exactly when A22 is.
+    try:
+        p2, lam = jordanize_nilpotent(a.submatrix(base, n, base, n))
+    except NotNilpotent:
+        raise PreconditionViolated("matrix is not nilpotent") from None
     p2inv = p2.inverse()
     a12 = a.submatrix(0, base, base, n).mul(p2)
     a21 = p2inv.mul(a.submatrix(base, n, 0, base))

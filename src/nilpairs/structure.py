@@ -2,14 +2,16 @@
 
 For B = J_mu the matrices A with AB = BA = 0 vanish outside a single corner
 per block.  This module exposes the product-based and the structural
-(pattern) predicate, the list of free coordinates, and exhaustive / seeded
-generation of candidates.
+(pattern) predicate, the list of free coordinates, the size of the candidate
+space, and seeded nilpotent candidates.  Both censuses and `verify` read
+their candidates in batches from one stream per mode in `census`; the
+per-matrix definitions of those streams (`enumerate_candidates`,
+`candidate_at`, `sample_candidate`) live in `nilpairs.oracles`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from . import rng
 from .fields import FieldSpec
@@ -22,10 +24,7 @@ __all__ = [
     "is_annihilating_form",
     "matches_annihilating_pattern",
     "free_coordinates",
-    "enumerate_candidates",
-    "candidate_at",
     "candidate_count",
-    "sample_candidate",
     "sample_nilpotent_candidate",
 ]
 
@@ -113,74 +112,6 @@ def candidate_count(mu: Partition, field: FieldSpec) -> int:
     if not field.is_finite:
         raise ValueError("exhaustive enumeration needs a finite field")
     return field.order ** len(free_coordinates(mu))
-
-
-def candidate_at(mu: Partition, field: FieldSpec, index: int) -> ExactMatrix:
-    """Candidate at a given odometer position.
-
-    Coordinates are row-major; the first coordinate is the most significant
-    digit, so the last free coordinate cycles fastest.
-    """
-    free = free_coordinates(mu)
-    q = field.order
-    total = q ** len(free)
-    if not 0 <= index < total:
-        raise ValueError(f"candidate index {index} out of range [0, {total})")
-    n = mu.n
-    rows = [[0] * n for _ in range(n)]
-    for r, c in reversed(free.positions):
-        index, digit = divmod(index, q)
-        rows[r][c] = digit
-    return ExactMatrix(field, rows, _canon=False)
-
-
-def enumerate_candidates(
-    mu: Partition, field: FieldSpec, budget: int = DEFAULT_BUDGET
-) -> Iterator[ExactMatrix]:
-    """Yield every annihilating-form candidate exactly once (odometer order).
-
-    Raises BudgetExceeded up front when |F|^((k+m)^2) > budget.  Candidates
-    are not filtered for nilpotency.
-    """
-    total = candidate_count(mu, field)
-    if total > budget:
-        raise BudgetExceeded(total, budget)
-    free = free_coordinates(mu)
-    q = field.order
-    n = mu.n
-    coords = free.positions
-    digits = [0] * len(coords)
-    rows = [[0] * n for _ in range(n)]
-    while True:
-        yield ExactMatrix(field, [list(r) for r in rows], _canon=False)
-        # odometer increment, last coordinate fastest
-        i = len(coords) - 1
-        while i >= 0:
-            digits[i] += 1
-            if digits[i] < q:
-                rows[coords[i][0]][coords[i][1]] = digits[i]
-                break
-            digits[i] = 0
-            rows[coords[i][0]][coords[i][1]] = 0
-            i -= 1
-        if i < 0:
-            return
-
-
-def sample_candidate(mu: Partition, field: FieldSpec, seed: int, index: int = 0) -> ExactMatrix:
-    """Deterministic pseudorandom assignment to the free coordinates.
-
-    Sample `index` draws splitmix64 stream positions [index*F, (index+1)*F)
-    of the stream keyed by `seed`, so a (seed, index) pair pins the matrix.
-    Not necessarily nilpotent.
-    """
-    free = free_coordinates(mu)
-    vals = rng.values_mod(seed, index * len(free), len(free), field.order)
-    n = mu.n
-    rows = [[0] * n for _ in range(n)]
-    for (r, c), v in zip(free.positions, vals):
-        rows[r][c] = v
-    return ExactMatrix(field, rows, _canon=False)
 
 
 def sample_nilpotent_candidate(mu: Partition, field: FieldSpec, seed: int) -> ExactMatrix:

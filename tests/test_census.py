@@ -12,15 +12,9 @@ from nilpairs.census import (
 from nilpairs.characterize import enumerate_shapes
 from nilpairs.fields import GF2, GF3, GF
 from nilpairs.matrix import ExactMatrix
-from nilpairs.oracles import reference_shape_census
+from nilpairs.oracles import candidate_at, reference_shape_census, sample_candidate
 from nilpairs.partitions import Partition, enumerate_partitions, parse_partition, split_core
-from nilpairs.structure import (
-    BudgetExceeded,
-    candidate_at,
-    candidate_count,
-    free_coordinates,
-    sample_candidate,
-)
+from nilpairs.structure import BudgetExceeded, candidate_count, free_coordinates
 
 
 def test_vectorized_census_matches_reference():
@@ -70,12 +64,32 @@ def test_sampled_census_matches_stream_gf2_bit_rows():
     assert 0 < nilp < 600
 
 
-def test_sampled_census_int64_guard_tied_to_n():
-    # (2,1) has m = 1: the A22 block would pass the bound, the 3 x 3 products would not
-    p = 2**31 - 1
+def test_sampled_census_past_int64_bound_matches_stream():
+    # 4 x 4 products over GF(2^31 - 1) pass 2^62, so the batches hold Python
+    # ints; (2,2) has m = 0, so every draw is nilpotent
+    mu, field = Partition([2, 2]), GF(2**31 - 1)
     for samples in (1, 50):
-        with pytest.raises(ValueError):
-            sampled_shape_census(Partition([2, 1]), GF(p), samples, seed=0)
+        counts, nilp = sampled_shape_census(mu, field, samples, seed=0)
+        assert (counts, nilp) == _stream_census(mu, field, samples, 0)
+        assert nilp == samples
+
+
+def test_census_and_verify_past_int64_bound_on_large_entries(monkeypatch):
+    # every draw is one nilpotent 2,1^4 candidate with entries p - 1 and 3
+    # (A22 = u v^T, v.u = 0); its products pass 2^63, which int64 would wrap
+    from nilpairs import rng
+
+    field, mu = GF(2**31 - 1), parse_partition("2,1,1,1,1")
+    positions = free_coordinates(mu).positions
+    rows = [[0] * 6 for _ in range(6)]
+    for r, c in positions:
+        rows[r][c] = 3 if r == 5 and c >= 2 else field.order - 1
+    shape = ExactMatrix(field, rows).nilpotent_shape()
+    vals = [rows[r][c] for r, c in positions]
+    monkeypatch.setattr(rng, "values_mod_np", lambda seed, start, count, p: np.array(vals * (count // len(vals))))
+    assert sampled_shape_census(mu, field, 3, seed=0) == ({shape: 3}, 3)
+    rep = verify_shapes(mu, field, mode="sample", samples=3)
+    assert rep.ok and rep.observed == (shape,)
 
 
 @pytest.mark.parametrize("field", [GF2, GF3, GF(5)], ids=lambda f: f.name)
@@ -203,6 +217,53 @@ def test_verify_disagreements_carry_odometer_indices(monkeypatch):
             expected.append(i)
     assert rep.verdict == "mismatch"
     assert [d["index"] for d in rep.details["shape_disagreements"]] == expected[:20]
+
+
+def test_verify_sample_disagreements_carry_sample_indices(monkeypatch):
+    # the sampled twin: the report names the disagreeing draws by sample index
+    import nilpairs.jordan as jordan
+
+    mu = parse_partition("2,2,1")
+    monkeypatch.setattr(jordan, "shape_of_reduced", lambda pair: Partition([mu.n]))
+    rep = verify_shapes(mu, GF3, mode="sample", samples=300, seed=4)
+    expected = []
+    for i in range(300):
+        c = sample_candidate(mu, GF3, 4, index=i)
+        if c.is_nilpotent() and c.nilpotent_shape() != Partition([mu.n]):
+            expected.append(i)
+    assert rep.verdict == "mismatch" and len(expected) > 20
+    assert [d["index"] for d in rep.details["shape_disagreements"]] == expected[:20]
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "sample"])
+def test_verify_reduces_every_nilpotent_candidate(monkeypatch, mode):
+    # every nilpotent candidate is dual-checked: one reduce call each, in
+    # several batches, over bit rows, int64 and Python ints
+    import nilpairs.reduction as reduction
+
+    monkeypatch.setattr(census, "_BATCH", 64)
+    monkeypatch.setattr(census, "_INT64_CELLS", 64 * 9)
+    monkeypatch.setattr(census, "_OBJECT_CELLS", 16 * 9)
+    calls = []
+    real = reduction.reduce
+
+    def counting(a, mu, *args, **kwargs):
+        calls.append(a)
+        return real(a, mu, *args, **kwargs)
+
+    monkeypatch.setattr(reduction, "reduce", counting)
+    for text, field in (("2,1,1", GF2), ("2,1", GF(5)), ("2,2,1", GF3), ("2,2", GF(2**31 - 1))):
+        mu = parse_partition(text)
+        calls.clear()
+        if mode == "exhaustive":
+            if candidate_count(mu, field) > 2**12:
+                continue
+            expected = field.order ** (len(free_coordinates(mu)) - split_core(mu).ones)
+            rep = verify_shapes(mu, field)
+        else:
+            expected = sampled_shape_census(mu, field, 200, seed=6)[1]
+            rep = verify_shapes(mu, field, mode="sample", samples=200, seed=6)
+        assert rep.ok and len(calls) == expected > 0, (text, field.name)
 
 
 def _gl_order(m: int, q: int) -> int:

@@ -175,6 +175,12 @@ def test_verify_exhaustive_cli(capsys):
     assert doc["observed"] == ["2,2,1", "2,1,1,1", "1,1,1,1,1"]
 
 
+def test_modulus_past_int64_is_usage_error(capsys):
+    code, out = run_cli(capsys, "verify", "--mu", "2,1", "--field", f"gf:{2**63 + 29}", "--mode", "sample")
+    assert code == 2
+    assert json.loads(out)["kind"] == "usage"
+
+
 def test_verify_budget_guard(capsys):
     code, out = run_cli(capsys, "verify", "--mu", "1^5", "--field", "gf2", "--budget", "1000")
     assert code == 2

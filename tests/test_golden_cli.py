@@ -4,7 +4,8 @@ Each case is one in-process `nilpairs` command; its exit code and the
 SHA-256 of its stdout are compared with `golden_cli.json`.  The cases are
 `reduce` on seeded `sample_nilpotent_candidate` inputs over gf2, gf:3 and
 gf:32003, `shape` on every `reduce` output, and `witness`, `roundtrip`,
-`reduce` and `shape` over the rationals for the README examples.
+`reduce` and `shape` over the rationals for the README examples, and
+`verify` in both modes over GF(2), small primes and GF(2^31 - 1).
 
 Regenerate the recording (only when an output change is intended) with
 
@@ -31,6 +32,15 @@ FIELDS = ("gf2", "gf:3", "gf:32003")
 SEEDS = range(5)
 MUS = ("2,1,1", "3,2,1^5", "3,3,2,1^8")
 README_PAIRS = (("2,1,1", "4"), ("3,3,2,1^8", "5,3,3,3,1,1"))
+VERIFY_ARGS = (
+    ("--mu", "3,2", "--field", "gf2"),
+    ("--mu", "2,1,1", "--field", "gf2"),
+    ("--mu", "2,1", "--field", "gf:5"),
+    ("--mu", "33", "--field", "gf2"),
+    ("--mu", "2,2,1", "--field", "gf:3", "--mode", "sample", "--seed", "9", "--samples", "200"),
+    ("--mu", "2,2", "--field", "gf:2147483647", "--mode", "sample", "--seed", "3", "--samples", "50"),
+    ("--mu", "2,1", "--field", "gf:3", "--mode", "sample", "--samples", "0"),
+)
 
 
 def _run(argv: list[str]) -> tuple[int, str]:
@@ -67,6 +77,8 @@ def collect() -> dict[str, tuple[int, str]]:
             out[f"witness {key}"] = (code, text)
             out[f"roundtrip {key}"] = _run(["roundtrip", "--mu", mu, "--nu", nu, "--field", "rational"])
             _reduce_and_shape(out, tmp, key, mu, json.loads(text)["a"])
+    for args in VERIFY_ARGS:
+        out["verify " + " ".join(args)] = _run(["verify", *args])
     return out
 
 

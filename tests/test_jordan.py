@@ -135,7 +135,8 @@ def test_power_blocks_validates_s():
 def test_shape_of_reduced_exhaustive_small_spaces():
     """Every nilpotent GF(2) candidate with a space of at most 2^14:
     the closed-form shape equals the rank-sequence oracle."""
-    from nilpairs.structure import candidate_count, enumerate_candidates
+    from nilpairs.oracles import enumerate_candidates
+    from nilpairs.structure import candidate_count
 
     for n in range(1, 6):
         for mu in enumerate_partitions(n):
@@ -152,7 +153,7 @@ def test_exhaustive_reduce_with_mixed_lambda_blocks():
     """mu = (2,1,1,1) and (3,1,1,1): every nilpotent GF(2) candidate (8192 each,
     spaces of 2^16).  These are the smallest spaces whose lambda can be (2,1),
     exercising the cross-run column moves and their repair pass."""
-    from nilpairs.structure import enumerate_candidates
+    from nilpairs.oracles import enumerate_candidates
 
     for mu_text in ("2,1,1,1", "3,1,1,1"):
         mu = parse_partition(mu_text)

@@ -193,6 +193,23 @@ def test_field_validation():
     assert GF(13).inv(5) * 5 % 13 == 1
 
 
+def test_primality_is_exact_and_fast():
+    import time
+
+    from nilpairs.fields import FieldSpec, _is_prime
+
+    def trial_division(p):
+        return p >= 2 and all(p % d for d in range(2, int(p**0.5) + 1))
+
+    assert all(_is_prime(p) == trial_division(p) for p in range(10**5))
+    for carmichael in (561, 3215031751):
+        with pytest.raises(ValueError):
+            FieldSpec("gf", carmichael)
+    start = time.perf_counter()
+    assert FieldSpec("gf", 2**61 - 1).order == 2**61 - 1
+    assert time.perf_counter() - start < 1.0
+
+
 def test_rng_python_and_numpy_streams_agree():
     from nilpairs import rng
 

@@ -5,7 +5,7 @@ import pytest
 from conftest import LAM_FIXTURE, MU_FIXTURE, preduction_fixture, reduced_fixture
 from nilpairs.fields import GF, GF2, GF3, QQ
 from nilpairs.matrix import ExactMatrix, jordan_matrix
-from nilpairs.oracles import elementary_conjugation
+from nilpairs.oracles import elementary_conjugation, sample_candidate
 from nilpairs.partitions import Partition, enumerate_partitions, offsets, parse_partition
 from nilpairs.reduction import (
     PreconditionViolated,
@@ -16,7 +16,6 @@ from nilpairs.reduction import (
 from nilpairs.structure import (
     free_coordinates,
     matches_annihilating_pattern,
-    sample_candidate,
     sample_nilpotent_candidate,
 )
 

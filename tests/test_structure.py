@@ -5,16 +5,19 @@ from nilpairs.matrix import ExactMatrix, jordan_matrix
 from nilpairs.partitions import Partition, enumerate_partitions, parse_partition, split_core
 from nilpairs.structure import (
     BudgetExceeded,
-    candidate_at,
     candidate_count,
-    enumerate_candidates,
     free_coordinates,
     is_annihilating_form,
     matches_annihilating_pattern,
-    sample_candidate,
     sample_nilpotent_candidate,
 )
-from nilpairs.oracles import is_commuting_form, matches_commuting_pattern
+from nilpairs.oracles import (
+    candidate_at,
+    enumerate_candidates,
+    is_commuting_form,
+    matches_commuting_pattern,
+    sample_candidate,
+)
 
 
 def test_commuting_form_examples():
