@@ -24,8 +24,9 @@ import numpy as np
 
 from .fields import FieldSpec
 from .matrix import ExactMatrix, _np_safe, _unpack_gf2
-from .partitions import Partition, canonical_sorted, conjugate, format_partition, split_core
-from .structure import DEFAULT_BUDGET, BudgetExceeded, candidate_count, free_coordinates
+from .jordan import InternalInconsistency
+from .partitions import Partition, canonical_sorted, conjugate, format_partition
+from .structure import DEFAULT_BUDGET, BudgetExceeded, candidate_count, free_coordinates, pattern_layout
 
 __all__ = [
     "VerifyReport",
@@ -95,18 +96,6 @@ def _gf2_ranks(rows: np.ndarray, n: int) -> np.ndarray:
     return rank
 
 
-def _gf2_rank_rows(rows: np.ndarray, n: int) -> np.ndarray:
-    """Rank rows (B, q) of the powers of nilpotent bit-row matrices, down to zero."""
-    ranks = [np.full(rows.shape[0], n, dtype=np.int64)]
-    power = rows
-    for _ in range(n):
-        ranks.append(_gf2_ranks(power, n))
-        if not ranks[-1].any():
-            break
-        power = _gf2_matmul(power, rows, n)
-    return np.stack(ranks, axis=1)
-
-
 # -- GF(p), batched matmul ---------------------------------------------------------
 
 
@@ -136,22 +125,6 @@ def _gfp_ranks(mats: np.ndarray, p: int) -> np.ndarray:
     return rank
 
 
-def _gfp_rank_rows(mats: np.ndarray, n: int, p: int) -> np.ndarray:
-    """Rank rows (B, q) of the powers of nilpotent int64 matrices, zero-padded."""
-    b = mats.shape[0]
-    ranks = [np.full(b, n, dtype=np.int64)]
-    power = mats.copy()
-    alive = np.ones(b, dtype=bool)
-    while alive.any():
-        r = np.zeros(b, dtype=np.int64)
-        r[alive] = _gfp_ranks(power[alive], p)
-        ranks.append(r)
-        alive = alive & (r > 0)
-        if alive.any():
-            power[alive] = np.matmul(power[alive], mats[alive]) % p
-    return np.stack(ranks, axis=1)
-
-
 # -- batches of candidates ----------------------------------------------------------
 #
 # Stacks of candidates are built from odometer indices (exhaustive) or from
@@ -172,8 +145,8 @@ def _dtype(n: int, field: FieldSpec):
 
 def _a22_split(mu: Partition, positions) -> tuple[int, list[int], list[int], list[tuple[int, int]]]:
     """(m, free indices outside A22, free indices inside A22, their positions in A22)."""
-    m = split_core(mu).ones
-    base = mu.n - m
+    base = pattern_layout(mu).base
+    m = mu.n - base
     inner = [f for f, (r, c) in enumerate(positions) if r >= base and c >= base]
     outer = [f for f, (r, c) in enumerate(positions) if r < base or c < base]
     return m, outer, inner, [(positions[f][0] - base, positions[f][1] - base) for f in inner]
@@ -199,16 +172,13 @@ def _index_stack(idx: np.ndarray, positions, n: int, p: int, dtype) -> np.ndarra
     The first position takes the most significant digit.
     """
     last = len(positions) - 1
-    if dtype is np.uint32:
-        rows = np.zeros((idx.shape[0], n), dtype=np.uint32)
-        for f, (r, c) in enumerate(positions):
-            rows[:, r] |= ((idx >> (last - f)) & 1).astype(np.uint32) << np.uint32(c)
-        return rows
-    digits = np.zeros((last + 1, idx.shape[0]), dtype=np.int64)
-    rem = idx.copy()
+    dt = np.int32 if p ** (last + 1) <= 2**31 else np.int64  # int32 divides about twice as fast
+    digits = np.zeros((last + 1, idx.shape[0]), dtype=dt)
+    rem = idx.astype(dt)
     for f in range(last, -1, -1):
-        digits[f] = rem % p
-        rem //= p
+        quot = rem // p  # numpy divides by a scalar faster than it takes %
+        digits[f] = rem - quot * p
+        rem = quot
     return _stack(digits, positions, n, dtype)
 
 
@@ -221,7 +191,26 @@ def _nilpotent_mask(mats: np.ndarray, n: int, p: int, bits: bool) -> np.ndarray:
 
 
 def _rank_rows(mats: np.ndarray, n: int, p: int, bits: bool) -> np.ndarray:
-    return _gf2_rank_rows(mats, n) if bits else _gfp_rank_rows(mats, n, p)
+    """Rank rows (B, q) of the powers of nilpotent n x n matrices, zero-padded.
+
+    Only members whose last power is nonzero are multiplied again.  The streams
+    pass masked nilpotent stacks, so a nonzero A^n is a bug and raises.
+    """
+    b = mats.shape[0]
+    ranks = [np.full(b, n, dtype=np.int64)]
+    alive, power = np.flatnonzero(ranks[0]), mats  # members whose last power is nonzero
+    for _ in range(n):
+        r = np.zeros(b, dtype=np.int64)
+        r[alive] = _gf2_ranks(power, n) if bits else _gfp_ranks(power, p)
+        ranks.append(r)
+        keep = r[alive] > 0
+        alive, power = alive[keep], power[keep]
+        if not alive.size:
+            break
+        power = _gf2_matmul(power, mats[alive], n) if bits else np.matmul(power, mats[alive]) % p
+    if alive.size:
+        raise InternalInconsistency(f"{alive.size} of {b} candidates have a nonzero power A^{n}; not nilpotent")
+    return np.stack(ranks, axis=1)
 
 
 def _add_shape_counts(counts: dict[Partition, int], mats: np.ndarray, n: int, p: int, bits: bool) -> None:

@@ -21,10 +21,10 @@ from .partitions import (
     canonical_sorted,
     enumerate_partitions,
     equal_runs,
-    offsets,
     ord_parts,
     split_core,
 )
+from .structure import corner_layout
 
 __all__ = [
     "Certificate",
@@ -258,15 +258,10 @@ def witness(mu: Partition, nu: Partition, field: FieldSpec = GF2) -> WitnessPair
     cert = compatible(mu, nu)
     if cert is None:
         raise Incompatible(f"nu={tuple(nu)} is not attainable against mu={tuple(mu)}")
-    split = split_core(mu)
-    core, m = split.core, split.ones
-    k = len(core)
-    n = mu.n
-    base = n - m
     lam, eps, c = cert.lam, cert.eps, cert.c
     l = len(lam)
-
-    co, lo = offsets(core), offsets(lam)
+    lay = corner_layout(split_core(mu).core, lam)
+    k, n = lay.k, mu.n
 
     # suffix2[i] = #{j >= i : eps_j = 2}, 1-based; phi2(i) = suffix2[i + 1]
     suffix2 = [0] * (l + 2)
@@ -290,17 +285,16 @@ def witness(mu: Partition, nu: Partition, field: FieldSpec = GF2) -> WitnessPair
 
     rows = [[field.zero()] * n for _ in range(n)]
     one = field.one()
-    j_lam = jordan_matrix(lam, field)
-    for i in range(m):
-        for jj in range(m):
-            rows[base + i][base + jj] = j_lam.rows[i][jj]
+    for j, part in enumerate(lam):  # A22 = J_lambda
+        for i in range(part - 1):
+            rows[lay.lam_pos(j, i)][lay.lam_pos(j, i + 1)] = one
     for i in range(1, l + 1):
         if t[i] > t[i - 1]:
-            rows[base + lo[i] - 1][co[t[i]] - 1] = one
+            rows[lay.lam_last(i - 1)][lay.core_last(t[i] - 1)] = one
         if s[i] > s[i - 1]:
-            rows[co[s[i] - 1]][base + lo[i - 1]] = one
+            rows[lay.core_first(s[i] - 1)][lay.lam_pos(i - 1)] = one
     for i in range(1, c + 1):
-        rows[co[k - i]][co[k - i + 1] - 1] = one
+        rows[lay.core_first(k - i)][lay.core_last(k - i)] = one
 
     a = ExactMatrix(field, rows, _canon=False)
     b = jordan_matrix(mu, field)

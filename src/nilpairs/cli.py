@@ -26,10 +26,10 @@ from .characterize import (
     enumerate_vnab,
     witness,
 )
-from .fields import GF2, parse_field
+from .fields import parse_field
 from .jordan import InternalInconsistency, chain_profile, shape_of_reduced
 from .matrix import ExactMatrix
-from .partitions import Partition, format_partition, parse_partition
+from .partitions import format_partition, parse_partition
 from .reduction import PreconditionViolated, ReducedPair, ReductionError, reduce as reduce_form
 from .structure import DEFAULT_BUDGET, BudgetExceeded
 

@@ -73,8 +73,6 @@ class FieldSpec:
         """Canonical representative of x in this field."""
         if self.kind == "gf":
             return int(x) % self.p  # type: ignore[operator]
-        if isinstance(x, str):
-            return Fraction(x)
         return Fraction(x)
 
     def zero(self) -> Element:

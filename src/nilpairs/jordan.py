@@ -68,13 +68,13 @@ def chain_profile(r: ReducedPair) -> ChainProfile:
     e2 = tuple(r.y_corner().transpose().column_prefix_ranks())
 
     a12, a21 = r.a12(), r.a21()
-    co = offsets(r.mu_core)
+    lay = r.layout
     f_map: dict[int, int] = {}
     g_map: dict[int, int] = {}
     top = lam[0] if lam else 0
     for s in range(2, top + 2):
         start = e2[_lam_transpose_at(lam, s)]
-        cols = [co[t + 1] - 1 for t in range(start, k)]
+        cols = [lay.core_last(t) for t in range(start, k)]
         if cols:
             y = ExactMatrix(r.field, [[row[c] for c in cols] for row in a21.rows], ncols=len(cols), _canon=False)
             f_map[s] = a12.mul(_jordan_shift(y, lam, s - 2)).rank()

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 from .fields import FieldSpec
 from .matrix import ExactMatrix, NotNilpotent, jordan_matrix, jordanize_nilpotent
-from .partitions import Partition, equal_runs, from_core, offsets, split_core
-from .structure import matches_annihilating_pattern
+from .partitions import Partition, equal_runs, from_core, split_core
+from .structure import Layout, corner_layout, matches_annihilating_pattern
 
 __all__ = [
     "PreconditionViolated",
@@ -130,37 +130,28 @@ class ReducedPair:
     def field(self) -> FieldSpec:
         return self.matrix.field
 
-    def a11(self) -> ExactMatrix:
-        b = self.n - self.ones
-        return self.matrix.submatrix(0, b, 0, b)
+    @property
+    def layout(self) -> Layout:
+        """Block positions; the ones block is split by lambda, not by mu's ones."""
+        return corner_layout(self.mu_core, self.lam)
 
     def a12(self) -> ExactMatrix:
-        b = self.n - self.ones
-        return self.matrix.submatrix(0, b, b, self.n)
+        return self.matrix.submatrix(0, self.layout.base, self.layout.base, self.n)
 
     def a21(self) -> ExactMatrix:
-        b = self.n - self.ones
-        return self.matrix.submatrix(b, self.n, 0, b)
+        return self.matrix.submatrix(self.layout.base, self.n, 0, self.layout.base)
 
     def a22(self) -> ExactMatrix:
-        b = self.n - self.ones
-        return self.matrix.submatrix(b, self.n, b, self.n)
+        return self.matrix.submatrix(self.layout.base, self.n, self.layout.base, self.n)
 
     def x_corner(self) -> ExactMatrix:
         """k x l matrix of A12 corner entries (first core row, first lambda column)."""
-        co, lo = offsets(self.mu_core), offsets(self.lam)
-        b = self.n - self.ones
-        rows = [[self.matrix.rows[co[t]][b + lo[j]] for j in range(len(self.lam))] for t in range(self.k)]
+        rows = self.layout.x_corner(self.matrix.rows)
         return ExactMatrix(self.field, rows, ncols=len(self.lam), _canon=False)
 
     def y_corner(self) -> ExactMatrix:
         """l x k matrix of A21 corner entries (last lambda row, last core column)."""
-        co, lo = offsets(self.mu_core), offsets(self.lam)
-        b = self.n - self.ones
-        rows = [
-            [self.matrix.rows[b + lo[j + 1] - 1][co[t + 1] - 1] for t in range(self.k)]
-            for j in range(len(self.lam))
-        ]
+        rows = self.layout.y_corner(self.matrix.rows)
         return ExactMatrix(self.field, rows, ncols=self.k, _canon=False)
 
     def to_json_dict(self) -> dict:
@@ -248,17 +239,8 @@ def reduce(a: ExactMatrix, mu: Partition, validate: bool = True, _stage_hook=Non
 
     _stage("jordanize-a22")
 
-    co, lo = offsets(core), offsets(lam)
-
-    def core_first(t: int) -> int:
-        return co[t]
-
-    def core_last(t: int) -> int:
-        return co[t + 1] - 1
-
-    def lam_pos(j: int, i: int) -> int:
-        return base + lo[j] + i
-
+    lay = corner_layout(core, lam)
+    core_first, core_last, lam_pos = lay.core_first, lay.core_last, lay.lam_pos
     zero, one = f.zero(), f.one()
 
     # stage 1: zero A12 outside the first column of each lambda block
@@ -288,12 +270,12 @@ def reduce(a: ExactMatrix, mu: Partition, validate: bool = True, _stage_hook=Non
     pivot_rows: set[int] = set()
     for j in range(l):
         support = [
-            t for t in range(k) if t not in pivot_rows and work[core_first(t)][base + lo[j]] != zero
+            t for t in range(k) if t not in pivot_rows and work[core_first(t)][lam_pos(j)] != zero
         ]
         if not support:
             # dependent column: zero it against earlier pivot columns
             for pr, pc in pivots:
-                v = work[core_first(pr)][base + lo[j]]
+                v = work[core_first(pr)][lam_pos(j)]
                 if v == zero:
                     continue
                 # X column j -= v * X column pc via the block embedding move
@@ -311,12 +293,12 @@ def reduce(a: ExactMatrix, mu: Partition, validate: bool = True, _stage_hook=Non
         t_star = support[0]
         if t_star != rho:
             _conj_swap(work, tw, ti, core_first(t_star), core_first(rho))
-        v = work[core_first(rho)][base + lo[j]]
+        v = work[core_first(rho)][lam_pos(j)]
         if v != one:
             _conj_scale(f, work, tw, ti, core_first(rho), f.inv(v))
         for r in range(k):
             if r != rho:
-                w = work[core_first(r)][base + lo[j]]
+                w = work[core_first(r)][lam_pos(j)]
                 if w != zero:
                     _conj_add(f, work, tw, ti, core_first(r), core_first(rho), f.neg(w))
         pivots.append((rho, j))
@@ -345,7 +327,7 @@ def reduce(a: ExactMatrix, mu: Partition, validate: bool = True, _stage_hook=Non
     for i in range(l):
         if cur == k:
             break
-        row = lam_pos(i, lam[i] - 1)
+        row = lay.lam_last(i)
         cand = [c for c in range(cur, k) if work[row][core_last(c)] != zero]
         if not cand:
             continue
@@ -395,42 +377,28 @@ def is_reduced(a: ExactMatrix, mu: Partition, lam: Partition) -> bool:
     n = mu.n
     if a.nrows != n or a.ncols != n:
         return False
-    split = split_core(mu)
-    core, m = split.core, split.ones
-    if lam.n != m:
-        return False
-    if not matches_annihilating_pattern(a, mu):
+    core = split_core(mu).core
+    if lam.n != n - core.n or not matches_annihilating_pattern(a, mu):
         return False
     f = a.field
     zero, one = f.zero(), f.one()
-    k = len(core)
-    l = len(lam)
-    base = n - m
-
-    co, lo = offsets(core), offsets(lam)
+    lay = corner_layout(core, lam)
+    k, l, base = lay.k, len(lam), lay.base
 
     # A22 == J_lambda
-    j_lam = jordan_matrix(lam, f)
-    for i in range(m):
-        for j in range(m):
-            if a.rows[base + i][base + j] != j_lam.rows[i][j]:
-                return False
+    if tuple(r[base:] for r in a.rows[base:]) != jordan_matrix(lam, f).rows:
+        return False
 
     # A12 supported on corner grid only, entries all 1, count == rank
-    x_rows = [[a.rows[co[t]][base + lo[j]] for j in range(l)] for t in range(k)]
-    first_cols = {base + lo[j] for j in range(l)}
+    first_cols = {lay.lam_pos(j) for j in range(l)}
     nonzeros = 0
     for t in range(k):
-        r = co[t]
-        for c in range(base, n):
-            v = a.rows[r][c]
+        for c, v in enumerate(a.rows[lay.core_first(t)][base:], base):
             if v != zero:
-                if c not in first_cols:
-                    return False
-                if v != one:
+                if c not in first_cols or v != one:
                     return False
                 nonzeros += 1
-    e1 = ExactMatrix(f, x_rows, ncols=l, _canon=False).column_prefix_ranks()
+    e1 = ExactMatrix(f, lay.x_corner(a.rows), ncols=l, _canon=False).column_prefix_ranks()
     if nonzeros != e1[l]:
         return False
 
@@ -449,16 +417,12 @@ def is_reduced(a: ExactMatrix, mu: Partition, lam: Partition) -> bool:
             return False
 
     # A21 supported on corner grid only, corner matrix in column echelon form
-    last_rows = {base + lo[j + 1] - 1: j for j in range(l)}
-    for r in range(base, n):
-        for t in range(k):
-            if a.rows[r][co[t + 1] - 1] != zero and r not in last_rows:
-                return False
-    y_rows = [[a.rows[base + lo[j + 1] - 1][co[t + 1] - 1] for t in range(k)] for j in range(l)]
-    lead: list[int | None] = []
-    for c in range(k):
-        nz = next((r for r in range(l) if y_rows[r][c] != zero), None)
-        lead.append(nz)
+    last_rows = {lay.lam_last(j) for j in range(l)}
+    last_cols = [lay.core_last(t) for t in range(k)]
+    if any(a.rows[r][c] != zero for r in range(base, n) if r not in last_rows for c in last_cols):
+        return False
+    y_rows = lay.y_corner(a.rows)
+    lead = [next((r for r in range(l) if y_rows[r][c] != zero), None) for c in range(k)]
     seen_zero = False
     prev = -1
     for c in range(k):

@@ -1,17 +1,23 @@
 """Block structure of matrices that annihilate a Jordan matrix.
 
 For B = J_mu the matrices A with AB = BA = 0 vanish outside a single corner
-per block.  This module exposes the product-based and the structural
-(pattern) predicate, the list of free coordinates, the size of the candidate
-space, and seeded nilpotent candidates.  Both censuses and `verify` read
-their candidates in batches from one stream per mode in `census`; the
-per-matrix definitions of those streams (`enumerate_candidates`,
-`candidate_at`, `sample_candidate`) live in `nilpairs.oracles`.
+per block.  This module is the one home of that corner layout: `Layout`
+(built and cached by `corner_layout`) places the core blocks, the lambda
+blocks of the ones part and their corners, and the predicates, the free
+coordinates, `reduction`, `jordan`, `characterize` and `census` all read it.
+It also exposes the product-based and the structural (pattern) predicate,
+the list of free coordinates, the size of the candidate space, and seeded
+nilpotent candidates.  Both censuses and `verify` read their candidates in
+batches from one stream per mode in `census`; the per-matrix definitions of
+those streams (`enumerate_candidates`, `candidate_at`, `sample_candidate`)
+live in `nilpairs.oracles`.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import rng
 from .fields import FieldSpec
@@ -21,6 +27,9 @@ from .partitions import Partition, offsets, split_core
 __all__ = [
     "FreeCoordinates",
     "BudgetExceeded",
+    "Layout",
+    "corner_layout",
+    "pattern_layout",
     "is_annihilating_form",
     "matches_annihilating_pattern",
     "free_coordinates",
@@ -51,29 +60,73 @@ class FreeCoordinates:
         return len(self.positions)
 
 
-def free_coordinates(mu: Partition) -> FreeCoordinates:
-    """Free positions, row-major: k^2 core corners, k*m in A12, m*k in A21, m^2 in A22."""
+@dataclass(frozen=True)
+class Layout:
+    """Block positions of mu = (core, 1^m) with its ones part cut into the
+    blocks of a partition lambda of m (0-based rows and columns).
+
+    Core block t spans [co[t], co[t+1]); lambda block j spans [lo[j], lo[j+1]),
+    from base = |core| on.  A with A*J_mu = J_mu*A = 0 is zero outside the free
+    rows (the first row of each core block, every ones row) crossed with the
+    free columns (the last column of each core block, every ones column).  The
+    A12 corner of (t, j) is (core_first(t), lam_pos(j)), the A21 corner of
+    (j, t) is (lam_last(j), core_last(t)), and J_lambda in A22 has its ones at
+    (lam_pos(j, i), lam_pos(j, i + 1)).  lambda = 1^m gives the bare pattern.
+    """
+
+    co: tuple[int, ...]
+    lo: tuple[int, ...]
+    free_rows: tuple[int, ...]
+    free_cols: tuple[int, ...]
+
+    @property
+    def k(self) -> int:
+        return len(self.co) - 1
+
+    @property
+    def base(self) -> int:
+        return self.co[-1]
+
+    def core_first(self, t: int) -> int:
+        return self.co[t]
+
+    def core_last(self, t: int) -> int:
+        return self.co[t + 1] - 1
+
+    def lam_pos(self, j: int, i: int = 0) -> int:
+        return self.lo[j] + i
+
+    def lam_last(self, j: int) -> int:
+        return self.lo[j + 1] - 1
+
+    def x_corner(self, rows) -> list[list]:
+        """The k x l A12 corner entries of the n x n matrix with these rows."""
+        return [[rows[r][c] for c in self.lo[:-1]] for r in self.co[:-1]]
+
+    def y_corner(self, rows) -> list[list]:
+        """The l x k A21 corner entries of the n x n matrix with these rows."""
+        return [[rows[r - 1][c - 1] for c in self.co[1:]] for r in self.lo[1:]]
+
+
+@lru_cache(maxsize=1024)
+def corner_layout(core: Partition, lam: Partition) -> Layout:
+    """The layout of (core, 1^m) with the ones part cut by lam, cached."""
+    co = offsets(core)
+    lo = tuple(co[-1] + x for x in offsets(lam))
+    ones = tuple(range(lo[0], lo[-1]))
+    return Layout(co, lo, co[:-1] + ones, tuple(c - 1 for c in co[1:]) + ones)
+
+
+def pattern_layout(mu: Partition) -> Layout:
+    """The layout of mu = (core, 1^m) with one block per ones row."""
     split = split_core(mu)
-    core, m = split.core, split.ones
-    k = len(core)
-    off = offsets(core)
-    n = mu.n
-    base = n - m  # ones block start
-    pos: list[tuple[int, int]] = []
-    for i in range(k):
-        row = off[i]  # first row of core block i
-        for j in range(k):
-            pos.append((row, off[j + 1] - 1))  # last column of core block j
-        for j in range(m):
-            pos.append((row, base + j))
-    for i in range(m):
-        row = base + i
-        for j in range(k):
-            pos.append((row, off[j + 1] - 1))
-        for j in range(m):
-            pos.append((row, base + j))
-    pos.sort()
-    return FreeCoordinates(mu=mu, positions=tuple(pos))
+    return corner_layout(split.core, Partition((1,) * split.ones))
+
+
+def free_coordinates(mu: Partition) -> FreeCoordinates:
+    """Free positions, row-major: the free rows crossed with the free columns."""
+    lay = pattern_layout(mu)
+    return FreeCoordinates(mu=mu, positions=tuple(itertools.product(lay.free_rows, lay.free_cols)))
 
 
 # -- predicates ---------------------------------------------------------------
@@ -89,13 +142,12 @@ def is_annihilating_form(a: ExactMatrix, mu: Partition) -> bool:
 def matches_annihilating_pattern(a: ExactMatrix, mu: Partition) -> bool:
     """Structural twin of is_annihilating_form: support inside the free coordinates."""
     _require_size(a, mu)
-    allowed = set(free_coordinates(mu).positions)
+    lay = pattern_layout(mu)
+    rows, cols = set(lay.free_rows), set(lay.free_cols)
     zero = a.field.zero()
-    for i, row in enumerate(a.rows):
-        for j, v in enumerate(row):
-            if v != zero and (i, j) not in allowed:
-                return False
-    return True
+    return all(
+        v == zero for i, row in enumerate(a.rows) for j, v in enumerate(row) if i not in rows or j not in cols
+    )
 
 
 def _require_size(a: ExactMatrix, mu: Partition) -> None:
@@ -122,12 +174,10 @@ def sample_nilpotent_candidate(mu: Partition, field: FieldSpec, seed: int) -> Ex
     elementary conjugations and diagonal rescalings (similarity preserves
     nilpotency); the remaining free coordinates are drawn directly.
     """
-    split = split_core(mu)
-    m = split.ones
-    q = field.order
+    n, q = mu.n, field.order
+    base = pattern_layout(mu).base
+    m = n - base
     free = free_coordinates(mu)
-    n = mu.n
-    base = n - m
     rows = [[0] * n for _ in range(n)]
     outer = [(r, c) for (r, c) in free.positions if r < base or c < base]
     vals = rng.values_mod(seed, 0, len(outer), q)

@@ -1,8 +1,11 @@
 """The public surface: every `__all__` resolves, `nilpairs` re-exports only
-names its home modules declare, and the reference twins stay in
-`nilpairs.oracles` without being re-exported."""
+names its home modules declare, the reference twins stay in
+`nilpairs.oracles` without being re-exported, and no module imports a name
+it does not use."""
 
+import ast
 import importlib
+import pathlib
 import pkgutil
 from types import ModuleType
 
@@ -38,3 +41,21 @@ def test_oracles_are_not_reexported():
         assert not hasattr(nilpairs, name), name
     for name in ("BlockGrid", "block_matrix", "batched_rank_sequences"):
         assert not hasattr(nilpairs, name), name
+
+
+def test_no_unused_imports():
+    # __init__.py is exempt: its imports are the re-exports
+    for path in sorted(pathlib.Path(nilpairs.__path__[0]).glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        exported = set(getattr(importlib.import_module(f"nilpairs.{path.stem}"), "__all__", ()))
+        unused = sorted(imported - used - exported)
+        assert not unused, f"{path.name} imports {unused} without using them"

@@ -11,6 +11,7 @@ from nilpairs.census import (
 )
 from nilpairs.characterize import enumerate_shapes
 from nilpairs.fields import GF2, GF3, GF
+from nilpairs.jordan import InternalInconsistency
 from nilpairs.matrix import ExactMatrix
 from nilpairs.oracles import candidate_at, reference_shape_census, sample_candidate
 from nilpairs.partitions import Partition, enumerate_partitions, parse_partition, split_core
@@ -348,3 +349,17 @@ def test_batched_rank_routines_match_exact_rank():
                 shifts = np.arange(n, dtype=np.uint32)
                 bits = (mats.astype(np.uint32) << shifts).sum(axis=2, dtype=np.uint32)
                 assert _gf2_ranks(bits, n).tolist() == expected, n
+
+
+def test_rank_rows_raise_on_a_stack_that_is_not_nilpotent():
+    # the powers of I_2 never reach zero: the capped loop raises instead of spinning
+    eye = np.eye(2, dtype=np.int64)[None]
+    with pytest.raises(InternalInconsistency):
+        census._rank_rows(eye, 2, 3, False)
+    with pytest.raises(InternalInconsistency):
+        census._rank_rows(eye.astype(object), 2, 3, False)
+    bits = np.array([[0b01, 0b10]], dtype=np.uint32)
+    with pytest.raises(InternalInconsistency):
+        census._rank_rows(bits, 2, 2, True)
+    nilpotent = np.array([[[0, 1], [0, 0]]], dtype=np.int64)
+    assert census._rank_rows(np.concatenate([nilpotent, nilpotent]), 2, 3, False).tolist() == [[2, 1, 0]] * 2

@@ -188,6 +188,21 @@ def test_is_reduced_fixture_and_negatives(fixture_matrix, fixture_mu, fixture_la
     assert not is_reduced(ExactMatrix(QQ, rows), fixture_mu, fixture_lam)
 
 
+def test_corner_matrices_of_the_worked_example(fixture_matrix, fixture_mu, fixture_lam):
+    # core blocks (3,3,2) start at rows 0, 3, 6; lambda blocks (3,2,2,1) start
+    # at columns 8, 11, 13, 15 and end at rows 10, 12, 14, 15
+    r = reduce(fixture_matrix, fixture_mu)
+    assert r.matrix == fixture_matrix and r.lam == fixture_lam
+    x = [[0] * 4 for _ in range(3)]
+    for t, j in [(0, 0), (1, 1), (2, 3)]:
+        x[t][j] = 1
+    y = [[0] * 3 for _ in range(4)]
+    for j, t in [(0, 0), (2, 1), (3, 2)]:
+        y[j][t] = 1
+    assert r.x_corner() == ExactMatrix(QQ, x)
+    assert r.y_corner() == ExactMatrix(QQ, y)
+
+
 def test_is_reduced_zero_with_all_ones_lambda():
     mu = Partition([2, 1, 1])
     z = ExactMatrix.zeros(GF2, 4, 4)

@@ -94,12 +94,20 @@ def test_free_coordinate_counts():
 
 
 def test_corner_positions_are_annihilating():
-    mu = Partition([3, 2])
-    n = mu.n
-    for r, c in free_coordinates(mu).positions:
-        rows = [[0] * n for _ in range(n)]
-        rows[r][c] = 1
-        assert is_annihilating_form(ExactMatrix(GF2, rows), mu)
+    # E_rc annihilates J_mu exactly at the free coordinates, which are listed
+    # strictly increasing (the odometer and the sampled streams rely on it)
+    for n in range(8):
+        for mu in enumerate_partitions(n):
+            positions = free_coordinates(mu).positions
+            assert all(p < q for p, q in zip(positions, positions[1:])), tuple(mu)
+            free = set(positions)
+            for r in range(n):
+                for c in range(n):
+                    rows = [[0] * n for _ in range(n)]
+                    rows[r][c] = 1
+                    unit = ExactMatrix(GF2, rows)
+                    assert is_annihilating_form(unit, mu) == ((r, c) in free), (tuple(mu), r, c)
+                    assert matches_annihilating_pattern(unit, mu) == ((r, c) in free), (tuple(mu), r, c)
 
 
 def test_enumerate_counts_and_uniqueness():
