@@ -5,8 +5,10 @@ its m x m ones block A22 is, and p^(m^2 - m) of the p^(m^2) blocks are
 (Fine-Herstein).  So the exhaustive stream crosses the nilpotent A22 blocks
 with every assignment of the outer free coordinates, building only the
 p^(F - m) nilpotent candidates of the p^F, and the sampled stream keeps the
-draws whose A22 is nilpotent.  Both yield batches of candidates with their
-positions, and both censuses and `verify_shapes` read them.  A batch holds
+draws whose A22 is nilpotent.  Both yield batches of candidates, the sampled
+one with each draw's sample index; an exhaustive candidate's free entries are
+its odometer digits, so it carries its own index.  Both censuses and
+`verify_shapes` read these batches.  A batch holds
 uint32 bit rows over GF(2) up to n = 32, else int64 matrices (GF(2) mod 2
 beyond), else, once n x n products could pass 2^62, Python ints.  Shapes come
 from the ranks of successive powers (`_gf2_ranks`, `_gfp_ranks`), converted
@@ -215,8 +217,6 @@ def _rank_rows(mats: np.ndarray, n: int, p: int, bits: bool) -> np.ndarray:
 
 def _add_shape_counts(counts: dict[Partition, int], mats: np.ndarray, n: int, p: int, bits: bool) -> None:
     """Add the shapes of a stack of nilpotent n x n candidates to `counts`."""
-    if mats.shape[0] == 0:
-        return
     shapes, _, sizes = _classes(_rank_rows(mats, n, p, bits), n)
     for shape, cnt in zip(shapes, sizes.tolist()):
         counts[shape] = counts.get(shape, 0) + cnt
@@ -225,14 +225,12 @@ def _add_shape_counts(counts: dict[Partition, int], mats: np.ndarray, n: int, p:
 # -- the candidate streams ------------------------------------------------------------
 
 
-def _exhaustive_stream(
-    mu: Partition, field: FieldSpec, budget: int
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Batches (candidates, A22 index, outer index) of every nilpotent candidate.
+def _exhaustive_stream(mu: Partition, field: FieldSpec, budget: int) -> Iterator[np.ndarray]:
+    """Batches of every nilpotent candidate.
 
-    Each index is an odometer index over its own free coordinates; the A22
-    blocks are walked in chunks and the nilpotent ones crossed with every
-    outer assignment.
+    The A22 blocks are walked in chunks and the nilpotent ones crossed with
+    every outer assignment.  A candidate's entries at the free coordinates
+    are its odometer digits, so it carries its own index (`_odometer_index`).
     """
     total = candidate_count(mu, field)
     if total > budget:
@@ -249,20 +247,25 @@ def _exhaustive_stream(
     n_outer = p ** len(outer)
     step = _BATCH if bits else _int64_batch(n, _BATCH, dtype)
     for a0 in range(0, n_a22, step):
-        a22_idx = np.arange(a0, min(a0 + step, n_a22), dtype=np.int64)
-        a22 = _index_stack(a22_idx, local, m, p, dtype)
-        keep = _nilpotent_mask(a22, m, p, bits)
-        kept, a22_idx = a22[keep], a22_idx[keep]
+        a22 = _index_stack(np.arange(a0, min(a0 + step, n_a22), dtype=np.int64), local, m, p, dtype)
+        kept = a22[_nilpotent_mask(a22, m, p, bits)]
         size = kept.shape[0] * n_outer
         for start in range(0, size, step):
             j = np.arange(start, min(start + step, size), dtype=np.int64)
-            outer_idx, k = j % n_outer, j // n_outer
-            mats = _index_stack(outer_idx, outer_positions, n, p, dtype)
+            mats = _index_stack(j % n_outer, outer_positions, n, p, dtype)
             if bits:
-                mats[:, base:] |= kept[k] << np.uint32(base)
+                mats[:, base:] |= kept[j // n_outer] << np.uint32(base)
             else:
-                mats[:, base:, base:] = kept[k]
-            yield mats, a22_idx[k], outer_idx
+                mats[:, base:, base:] = kept[j // n_outer]
+            yield mats
+
+
+def _odometer_index(rows: list[list[int]], positions, p: int) -> int:
+    """Odometer index of an exhaustive candidate: its free entries, the first most significant."""
+    index = 0
+    for r, c in positions:
+        index = index * p + rows[r][c]
+    return index
 
 
 def _sampled_stream(
@@ -299,7 +302,7 @@ def exhaustive_shape_census(
     """Shape -> count over all nilpotent annihilating-form candidates (vectorized)."""
     mu = Partition(mu)
     counts: dict[Partition, int] = {}
-    for mats, *_ in _exhaustive_stream(mu, field, budget):
+    for mats in _exhaustive_stream(mu, field, budget):
         _add_shape_counts(counts, mats, mu.n, field.order, mats.dtype == np.uint32)
     return counts
 
@@ -371,7 +374,8 @@ def verify_shapes(
     Reads the census stream of the mode.  Every nilpotent candidate's shape
     is taken from its batch's rank rows and again through reduce ->
     shape_of_reduced; any disagreement (the lowest 20 indices are reported:
-    odometer indices in exhaustive mode, sample indices in sample mode), or
+    in exhaustive mode the odometer index, read back from the candidate's
+    free entries, in sample mode the sample index), or
     any observed shape outside the prediction, yields a mismatch verdict.
     Exhaustive mode additionally requires every predicted shape to be
     observed.
@@ -391,35 +395,27 @@ def verify_shapes(
 
     n, p = mu.n, field.order
     if mode == "exhaustive":
-        stream = _exhaustive_stream(mu, field, budget)
-        free = free_coordinates(mu)
-        _, outer, inner, _ = _a22_split(mu, free.positions)
-
-        def index_of(a22_idx, outer_idx) -> int:
-            # each index holds the digits of its own coordinates, the first most
-            # significant; the odometer interleaves all F of them
-            parts = ((int(a22_idx), inner), (int(outer_idx), outer))
-            digit = {f: i // p ** (len(fs) - 1 - d) % p for i, fs in parts for d, f in enumerate(fs)}
-            return sum(v * p ** (len(free) - 1 - f) for f, v in digit.items())
-
+        positions = free_coordinates(mu).positions
+        stream = ((mats, None) for mats in _exhaustive_stream(mu, field, budget))
     elif mode == "sample":
         stream = _sampled_stream(mu, field, samples, seed)
-        index_of = int
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
     disagreements: list[dict] = []
-    for mats, *where in stream:
+    for mats, drawn in stream:
         bits = mats.dtype == np.uint32
         shapes, inverse, _ = _classes(_rank_rows(mats, n, p, bits), n)
         observed.update(shapes)
         for k, cls in enumerate(inverse.tolist()):
             rows = mats[k].tolist()
-            cand = ExactMatrix(field, _unpack_gf2(rows, n) if bits else rows, ncols=n, _canon=False)
-            formula = shape_of_reduced(reduce_form(cand, mu))
+            if bits:
+                rows = _unpack_gf2(rows, n)
+            formula = shape_of_reduced(reduce_form(ExactMatrix(field, rows, ncols=n, _canon=False), mu))
             if formula != shapes[cls]:
+                index = _odometer_index(rows, positions, p) if drawn is None else int(drawn[k])
                 pair = dict(oracle=format_partition(shapes[cls]), formula=format_partition(formula))
-                disagreements.append(dict(index=index_of(*(w[k] for w in where)), **pair))
+                disagreements.append(dict(index=index, **pair))
         disagreements.sort(key=lambda d: d["index"])
         del disagreements[_DISAGREEMENTS:]
 

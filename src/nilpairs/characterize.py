@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import Iterator
 
 from .fields import GF2, FieldSpec
-from .matrix import ExactMatrix, jordan_matrix
+from .matrix import ExactMatrix, NotNilpotent, jordan_matrix
 from .partitions import (
     Partition,
     canonical_sorted,
@@ -24,7 +24,7 @@ from .partitions import (
     ord_parts,
     split_core,
 )
-from .structure import corner_layout
+from .structure import corner_layout, is_annihilating_form
 
 __all__ = [
     "Certificate",
@@ -119,19 +119,17 @@ def _eps_run_choices(value: int, count: int, budget: int) -> Iterator[tuple[int,
 
 def _certificates(mu: Partition, nu: Partition) -> Iterator[Certificate]:
     split = split_core(mu)
-    k, m = len(split.core), split.ones
+    k, m, n = len(split.core), split.ones, nu.n
     count2 = sum(1 for p in nu if p == 2)
     count1 = sum(1 for p in nu if p == 1)
     runs = [(nu[j0], j1 - j0) for j0, j1 in equal_runs(nu)]  # (value, count), descending
 
     for c in range(min(count2, k) + 1):
-        for d in range(count1 + 1):
+        # the epsilons sum to target = n - m - 2c - d, which must lie in [0, 2k - 2c]
+        for d in range(max(0, n - m - 2 * k), min(count1, n - m - 2 * c) + 1):
+            target = n - m - 2 * c - d
             remaining = [(v, cnt - (c if v == 2 else d if v == 1 else 0)) for v, cnt in runs]
             remaining = [(v, cnt) for v, cnt in remaining if cnt > 0]
-            total = sum(v * cnt for v, cnt in remaining)
-            target = total - m  # required sum of epsilons
-            if target < 0 or 2 * c + target > 2 * k:
-                continue
 
             def rec(idx: int, left: int, acc: list[tuple[int, int]]) -> Iterator[Certificate]:
                 if idx == len(remaining):
@@ -155,18 +153,6 @@ def _certificates(mu: Partition, nu: Partition) -> Iterator[Certificate]:
 @lru_cache(maxsize=65536)
 def _compatible_cached(mu_t: tuple[int, ...], nu_t: tuple[int, ...]) -> Certificate | None:
     mu, nu = Partition(mu_t), Partition(nu_t)
-    split = split_core(mu)
-    k, m = len(split.core), split.ones
-    # fast path: B = 0 admits every shape
-    if k == 0:
-        return Certificate(lam=nu, eps=(0,) * len(nu), c=0, d=0)
-    # fast path: no 1-parts in mu forces nu = (2^i, 1^(n-2i)), i <= k
-    if m == 0:
-        if all(p <= 2 for p in nu):
-            c = sum(1 for p in nu if p == 2)
-            if c <= k:
-                return Certificate(lam=Partition(), eps=(), c=c, d=nu.n - 2 * c)
-        return None
     best: Certificate | None = None
     best_key = None
     for cert in _certificates(mu, nu):
@@ -198,14 +184,8 @@ def _enumerate_shapes_cached(mu_t: tuple[int, ...]) -> tuple[Partition, ...]:
     split = split_core(mu)
     k, m = len(split.core), split.ones
     n = mu.n
-    if k == 0:
+    if k == 0:  # B = 0 admits every shape; the loop below takes ~4x as long to find that at 1^40
         return tuple(enumerate_partitions(n))
-    if m == 0:
-        return tuple(
-            canonical_sorted(
-                Partition((2,) * i + (1,) * (n - 2 * i)) for i in range(k + 1)
-            )
-        )
     shapes: set[Partition] = set()
     for lam in enumerate_partitions(m):
         runs = [(lam[j0], j1 - j0) for j0, j1 in equal_runs(lam)]
@@ -299,14 +279,14 @@ def witness(mu: Partition, nu: Partition, field: FieldSpec = GF2) -> WitnessPair
     a = ExactMatrix(field, rows, _canon=False)
     b = jordan_matrix(mu, field)
 
-    if not a.mul(b).is_zero() or not b.mul(a).is_zero():
+    if not is_annihilating_form(a, mu):
         raise ConstructionMismatch("witness pair does not mutually annihilate")
-    if not a.is_nilpotent():
-        raise ConstructionMismatch("witness A is not nilpotent")
-    if a.nilpotent_shape() != nu:
-        raise ConstructionMismatch(
-            f"witness A has shape {tuple(a.nilpotent_shape())}, wanted {tuple(nu)}"
-        )
+    try:
+        shape = a.nilpotent_shape()
+    except NotNilpotent:
+        raise ConstructionMismatch("witness A is not nilpotent") from None
+    if shape != nu:
+        raise ConstructionMismatch(f"witness A has shape {tuple(shape)}, wanted {tuple(nu)}")
     if b.nilpotent_shape() != mu:
         raise ConstructionMismatch("witness B has the wrong shape")
     return WitnessPair(a=a, b=b, mu=mu, nu=nu)
@@ -329,7 +309,7 @@ def enumerate_vnab(n: int, a: int, b: int) -> tuple[tuple[Partition, Partition],
         if mu[0] > a:
             continue
         for nu in enumerate_shapes(mu):
-            if nu and nu[0] > b:
+            if nu[0] > b:
                 continue
             pairs.append((mu, nu))
     pairs.sort(reverse=True)

@@ -18,7 +18,6 @@ import sys
 from .census import verify_shapes
 from .characterize import (
     ConstructionMismatch,
-    DualCheckMismatch,
     Incompatible,
     compatible,
     component_pairs,
@@ -27,7 +26,7 @@ from .characterize import (
     witness,
 )
 from .fields import parse_field
-from .jordan import InternalInconsistency, chain_profile, shape_of_reduced
+from .jordan import chain_profile, shape_of_reduced
 from .matrix import ExactMatrix
 from .partitions import format_partition, parse_partition
 from .reduction import PreconditionViolated, ReducedPair, ReductionError, reduce as reduce_form
@@ -285,10 +284,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ReductionError, ConstructionMismatch, InternalInconsistency, DualCheckMismatch) as exc:
+    except AssertionError as exc:  # the base of every failed self-check
         _emit({"error": str(exc), "kind": "internal-inconsistency"})
         return EXIT_INTERNAL
-    except (ValueError, BudgetExceeded, PreconditionViolated, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, BudgetExceeded, OSError, KeyError) as exc:
         _emit({"error": str(exc), "kind": "usage"})
         return EXIT_USAGE
 

@@ -31,8 +31,6 @@ class ChainProfile:
     e2: tuple[int, ...]
     f: dict[int, int]
     g: dict[int, int]
-    lam: Partition
-    k: int
 
     def to_json_dict(self) -> dict:
         return {
@@ -75,15 +73,12 @@ def chain_profile(r: ReducedPair) -> ChainProfile:
     for s in range(2, top + 2):
         start = e2[_lam_transpose_at(lam, s)]
         cols = [lay.core_last(t) for t in range(start, k)]
-        if cols:
-            y = ExactMatrix(r.field, [[row[c] for c in cols] for row in a21.rows], ncols=len(cols), _canon=False)
-            f_map[s] = a12.mul(_jordan_shift(y, lam, s - 2)).rank()
-        else:
-            f_map[s] = 0
+        y = ExactMatrix(r.field, [[row[c] for c in cols] for row in a21.rows], ncols=len(cols), _canon=False)
+        f_map[s] = a12.mul(_jordan_shift(y, lam, s - 2)).rank()
         lt_prev = _lam_transpose_at(lam, s - 1)
         lt_here = _lam_transpose_at(lam, s)
         g_map[s] = e1[lt_prev] - e1[lt_here] + e2[lt_prev] - e2[lt_here] - 2 * f_map[s]
-    return ChainProfile(e1=e1, e2=e2, f=f_map, g=g_map, lam=lam, k=k)
+    return ChainProfile(e1=e1, e2=e2, f=f_map, g=g_map)
 
 
 def rank_formula(r: ReducedPair, s: int, profile: ChainProfile | None = None) -> int:
@@ -93,7 +88,7 @@ def rank_formula(r: ReducedPair, s: int, profile: ChainProfile | None = None) ->
     prof = profile if profile is not None else chain_profile(r)
     lam = r.lam
     tail = sum(max(p - (s + 1), 0) for p in lam)
-    idx = _lam_transpose_at(lam, s + 1) if lam else 0
+    idx = _lam_transpose_at(lam, s + 1)
     return tail + prof.e1[idx] + prof.e2[idx] + prof.f.get(s + 1, 0)
 
 

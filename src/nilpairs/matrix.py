@@ -215,8 +215,6 @@ class ExactMatrix:
             raise ValueError("inverse of a non-square matrix")
         f = self.field
         n = self.nrows
-        if n == 0:
-            return self
         aug = ExactMatrix(
             f,
             [list(r) + [f.one() if i == j else f.zero() for j in range(n)] for i, r in enumerate(self.rows)],
@@ -438,9 +436,6 @@ def jordanize_nilpotent(m: ExactMatrix) -> tuple[ExactMatrix, Partition]:
         raise ValueError("jordanize expects a square matrix")
     n = m.nrows
     f = m.field
-    if n == 0:
-        return ExactMatrix.identity(f, 0), Partition()
-
     powers = [ExactMatrix.identity(f, n)]
     while not powers[-1].is_zero():
         if len(powers) > n:

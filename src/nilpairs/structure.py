@@ -183,34 +183,33 @@ def sample_nilpotent_candidate(mu: Partition, field: FieldSpec, seed: int) -> Ex
     vals = rng.values_mod(seed, 0, len(outer), q)
     for (r, c), v in zip(outer, vals):
         rows[r][c] = v
-    if m:
-        cursor = len(outer)
-        strict = [[0] * m for _ in range(m)]
-        for i in range(m):
-            for j in range(i + 1, m):
-                strict[i][j] = rng.splitmix64(seed, cursor) % q
-                cursor += 1
-        # scramble by elementary conjugations E = I + xi*e[p,q]; stays nilpotent
-        for step in range(3 * m):
-            p = rng.splitmix64(seed, cursor) % m
-            qq = rng.splitmix64(seed, cursor + 1) % m
-            xi = rng.splitmix64(seed, cursor + 2) % q
-            cursor += 3
-            if p == qq or xi == 0:
-                continue
-            rq = strict[qq]
-            strict[p] = [(x + xi * y) % q for x, y in zip(strict[p], rq)]
-            for row in strict:
-                row[qq] = (row[qq] - xi * row[p]) % q
-        for i in range(m):
-            alpha = 1 + rng.splitmix64(seed, cursor) % (q - 1) if q > 2 else 1
+    cursor = len(outer)
+    strict = [[0] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i + 1, m):
+            strict[i][j] = rng.splitmix64(seed, cursor) % q
             cursor += 1
-            if alpha != 1:
-                inv = pow(alpha, q - 2, q)
-                strict[i] = [(alpha * x) % q for x in strict[i]]
-                for row in strict:
-                    row[i] = (row[i] * inv) % q
-        for i in range(m):
-            for j in range(m):
-                rows[base + i][base + j] = strict[i][j]
+    # scramble by elementary conjugations E = I + xi*e[p,q]; stays nilpotent
+    for step in range(3 * m):
+        p = rng.splitmix64(seed, cursor) % m
+        qq = rng.splitmix64(seed, cursor + 1) % m
+        xi = rng.splitmix64(seed, cursor + 2) % q
+        cursor += 3
+        if p == qq or xi == 0:
+            continue
+        rq = strict[qq]
+        strict[p] = [(x + xi * y) % q for x, y in zip(strict[p], rq)]
+        for row in strict:
+            row[qq] = (row[qq] - xi * row[p]) % q
+    for i in range(m):
+        alpha = 1 + rng.splitmix64(seed, cursor) % (q - 1) if q > 2 else 1
+        cursor += 1
+        if alpha != 1:
+            inv = pow(alpha, q - 2, q)
+            strict[i] = [(alpha * x) % q for x in strict[i]]
+            for row in strict:
+                row[i] = (row[i] * inv) % q
+    for i in range(m):
+        for j in range(m):
+            rows[base + i][base + j] = strict[i][j]
     return ExactMatrix(field, rows, _canon=False)

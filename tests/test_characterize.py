@@ -1,9 +1,12 @@
+import json
+
 import pytest
 
 from nilpairs import characterize
 from nilpairs.census import exhaustive_shape_census
 from nilpairs.characterize import (
     Certificate,
+    ConstructionMismatch,
     Incompatible,
     compatible,
     component_pairs,
@@ -11,7 +14,9 @@ from nilpairs.characterize import (
     enumerate_vnab,
     witness,
 )
+from nilpairs.cli import main
 from nilpairs.fields import GF2, GF3, QQ
+from nilpairs.matrix import ExactMatrix, NotNilpotent
 from nilpairs.partitions import (
     Partition,
     canonical_sorted,
@@ -71,14 +76,14 @@ def test_enumerate_shapes_examples():
 
 
 def test_degenerate_fast_paths_match_general():
-    # force the general enumeration on the fast-path domains and compare
+    # the degenerate domains, B = 0 (k = 0) or no 1-parts in mu (m = 0), on the general path
     from nilpairs.characterize import _certificates
 
     for n in range(2, 9):
         for mu in enumerate_partitions(n):
             split = split_core(mu)
             if split.core and split.ones:
-                continue  # not a fast-path domain
+                continue  # not a degenerate domain
             shapes = set(enumerate_shapes(mu))
             general = {nu for nu in enumerate_partitions(n) if compatible(mu, nu) is not None}
             assert shapes == general
@@ -90,12 +95,28 @@ def test_degenerate_fast_paths_match_general():
                 assert shapes == expected
             else:
                 assert shapes == set(enumerate_partitions(n))
-            # the backward search agrees with the fast path certificate-by-certificate
+            # compatible returns one of the backward search's certificates
             for nu in shapes:
                 cert = compatible(mu, nu)
                 found = list(_certificates(mu, nu))
                 if found:
                     assert cert in found
+    # the closed-form certificates of the degenerate domains: (nu, 0..., 0, 0)
+    # for B = 0, and ((), (), c, d) for nu = (2^c, 1^d) with c <= k when m = 0
+    for n in range(1, 10):
+        for mu in enumerate_partitions(n):
+            split = split_core(mu)
+            k = len(split.core)
+            if k and split.ones:
+                continue
+            for nu in enumerate_partitions(n):
+                if k == 0:
+                    expected = Certificate(lam=nu, eps=(0,) * len(nu), c=0, d=0)
+                else:
+                    c = sum(1 for p in nu if p == 2)
+                    closed = nu[0] <= 2 and c <= k
+                    expected = Certificate(lam=Partition(), eps=(), c=c, d=n - 2 * c) if closed else None
+                assert compatible(mu, nu) == expected, (tuple(mu), tuple(nu))
 
 
 def test_compatible_matches_enumerate_shapes():
@@ -151,6 +172,17 @@ def test_witness_soundness_small(field):
                 assert w.a.mul(w.b).is_zero() and w.b.mul(w.a).is_zero()
                 assert w.a.nilpotent_shape() == nu
                 assert w.b.nilpotent_shape() == mu
+
+
+def test_witness_nilpotency_failure_is_construction_mismatch(monkeypatch, capsys):
+    def not_nilpotent(self):
+        raise NotNilpotent("matrix is not nilpotent")
+
+    monkeypatch.setattr(ExactMatrix, "nilpotent_shape", not_nilpotent)
+    with pytest.raises(ConstructionMismatch, match="not nilpotent"):
+        witness(Partition([2, 1, 1]), Partition([4]))
+    assert main(["witness", "--mu", "2,1,1", "--nu", "4"]) == 3
+    assert json.loads(capsys.readouterr().out)["kind"] == "internal-inconsistency"
 
 
 def test_witness_partial_permutation_structure():

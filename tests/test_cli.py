@@ -3,9 +3,10 @@ import time
 
 import pytest
 
+from nilpairs import characterize
 from nilpairs.cli import main
 from nilpairs.matrix import ExactMatrix
-from nilpairs.partitions import parse_partition
+from nilpairs.partitions import Partition, parse_partition
 from nilpairs.structure import sample_nilpotent_candidate
 from nilpairs.fields import GF, GF3
 
@@ -36,6 +37,16 @@ def test_check_usage_error(capsys):
     code, out = run_cli(capsys, "check", "--mu", "1,2", "--nu", "3")
     assert code == 2
     assert json.loads(out)["kind"] == "usage"
+
+
+def test_failed_certificate_check_exits_internal(capsys, monkeypatch):
+    # Certificate.check raises a plain AssertionError; the CLI maps every
+    # AssertionError, the base of all self-check failures, to exit 3
+    wrong = characterize.Certificate(lam=Partition([1]), eps=(0,), c=0, d=0)
+    monkeypatch.setattr(characterize, "_compatible_cached", lambda mu, nu: wrong)
+    code, out = run_cli(capsys, "check", "--mu", "2,1", "--nu", "3")
+    assert code == 3
+    assert json.loads(out)["kind"] == "internal-inconsistency"
 
 
 def test_enumerate_formats(capsys):

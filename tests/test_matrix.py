@@ -73,7 +73,7 @@ def test_rank_nullity_and_transpose(field):
 @pytest.mark.parametrize("field", FIELDS)
 def test_inverse(field):
     rnd = random.Random(7)
-    for n in range(1, 6):
+    for n in range(0, 6):
         p = random_invertible(field, n, rnd)
         assert p.mul(p.inverse()) == ExactMatrix.identity(field, n)
     with pytest.raises(ValueError):
@@ -133,6 +133,8 @@ def test_jordanize_reversal_example():
 
 @pytest.mark.parametrize("field", [GF2, GF3, QQ])
 def test_jordanize_random_nilpotent(field):
+    # 0 x 0 runs the general construction: no chains, an empty basis
+    assert jordanize_checked(ExactMatrix.zeros(field, 0, 0)) == (ExactMatrix.identity(field, 0), Partition())
     rnd = random.Random(13)
     for n in range(1, 7):
         for _ in range(25):
