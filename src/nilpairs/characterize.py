@@ -125,8 +125,9 @@ def _certificates(mu: Partition, nu: Partition) -> Iterator[Certificate]:
     runs = [(nu[j0], j1 - j0) for j0, j1 in equal_runs(nu)]  # (value, count), descending
 
     for c in range(min(count2, k) + 1):
-        # the epsilons sum to target = n - m - 2c - d, which must lie in [0, 2k - 2c]
-        for d in range(max(0, n - m - 2 * k), min(count1, n - m - 2 * c) + 1):
+        # the epsilons sum to target = n - m - 2c - d, which must lie in [0, 2k - 2c],
+        # and lambda, a partition of m, takes the other len(nu) - c - d parts
+        for d in range(max(0, n - m - 2 * k, len(nu) - m - c), min(count1, n - m - 2 * c) + 1):
             target = n - m - 2 * c - d
             remaining = [(v, cnt - (c if v == 2 else d if v == 1 else 0)) for v, cnt in runs]
             remaining = [(v, cnt) for v, cnt in remaining if cnt > 0]
