@@ -37,6 +37,60 @@ def test_census_counts_nilpotent_total():
     assert sum(exhaustive_shape_census(Partition([1] * 4), GF2).values()) == 2**12
 
 
+# full count dicts of the exhaustive census, recorded from the route that
+# built every nilpotent candidate (all p^(F - m) of them) before the census
+# switched to one A22 block per GL_m orbit
+GOLDEN_CENSUS = {
+    ("1^5", 2): {
+        "5": 624960,
+        "4,1": 312480,
+        "3,2": 78120,
+        "3,1,1": 26040,
+        "2,2,1": 6510,
+        "2,1,1,1": 465,
+        "1,1,1,1,1": 1,
+    },
+    ("2,1,1,1", 3): {
+        "5": 606528,
+        "4,1": 707616,
+        "3,2": 179712,
+        "3,1,1": 85644,
+        "2,2,1": 13728,
+        "2,1,1,1": 1094,
+        "1,1,1,1,1": 1,
+    },
+    ("3,2,1,1", 2): {
+        "4,2,1": 3456,
+        "4,1,1,1": 3456,
+        "3,3,1": 576,
+        "3,2,1,1": 5616,
+        "3,1,1,1,1": 1584,
+        "2,2,2,1": 504,
+        "2,2,1,1,1": 1062,
+        "2,1,1,1,1,1": 129,
+        "1,1,1,1,1,1,1": 1,
+    },
+    ("3,1,1,1", 2): {
+        "5,1": 1344,
+        "4,1,1": 3360,
+        "3,2,1": 1512,
+        "3,1,1,1": 1400,
+        "2,2,1,1": 462,
+        "2,1,1,1,1": 113,
+        "1,1,1,1,1,1": 1,
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CENSUS), ids=lambda c: f"{c[0]}-gf{c[1]}")
+def test_census_golden_counts(case):
+    text, p = case
+    mu = parse_partition(text)
+    expected = {parse_partition(s): c for s, c in GOLDEN_CENSUS[case].items()}
+    assert sum(expected.values()) == p ** (len(free_coordinates(mu)) - split_core(mu).ones)
+    assert exhaustive_shape_census(mu, GF(p), budget=2**26) == expected
+
+
 def test_census_budget():
     with pytest.raises(BudgetExceeded):
         exhaustive_shape_census(Partition([1] * 5), GF2, budget=1000)
