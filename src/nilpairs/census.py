@@ -2,32 +2,45 @@
 
 A candidate (an annihilating-form matrix for mu) is nilpotent exactly when
 its m x m ones block A22 is, and p^(m^2 - m) of the p^(m^2) blocks are
-(Fine-Herstein).  So the exhaustive stream crosses the nilpotent A22 blocks
-with every assignment of the outer free coordinates, building only the
-p^(F - m) nilpotent candidates of the p^F, and the sampled stream keeps the
-draws whose A22 is nilpotent.  Both yield batches of candidates, the sampled
-one with each draw's sample index; an exhaustive candidate's free entries are
-its odometer digits, so it carries its own index.  Both censuses and
-`verify_shapes` read these batches.  A batch holds
-uint32 bit rows over GF(2) up to n = 32, else int64 matrices (GF(2) mod 2
-beyond), else, once n x n products could pass 2^62, Python ints.  Shapes come
-from the ranks of successive powers (`_gf2_ranks`, `_gfp_ranks`), converted
-once per distinct rank row; `verify_shapes` also takes every candidate's shape
-through reduce -> shape_of_reduced and demands agreement.  The per-matrix
-twins of the streams and of the census are in `nilpairs.oracles`.
+(Fine-Herstein).  Conjugating by diag(I, P), P in GL_m(p), keeps a candidate
+in the pattern and keeps its Jordan shape, and it maps the candidates over
+one A22 onto those over P A22 P^-1.  So the exhaustive census fixes A22 to
+one J_lambda per orbit, lambda a partition of m, crosses it with every
+assignment of the outer free coordinates and weights the shapes found by the
+orbit size |GL_m(p)| / |C(J_lambda)|: it builds p(m) p^(F - m^2) matrices to
+count the p^(F - m) nilpotent candidates of the p^F.  `verify_shapes` checks
+every nilpotent candidate itself, so its exhaustive stream walks the A22
+blocks in chunks, keeps the nilpotent ones and crosses them the same way; a
+candidate's free entries are then its odometer digits, so it carries its own
+index.  The sampled stream keeps the draws whose A22 is nilpotent, each with
+its sample index; the sampled census and `verify_shapes` read it.  A batch
+holds uint32 bit rows over GF(2) up to n = 32, else int64 matrices (GF(2)
+mod 2 beyond), else, once n x n products could pass 2^62, Python ints.
+Shapes come from the ranks of successive powers (`_gf2_ranks`,
+`_gfp_ranks`), converted once per distinct rank row; `verify_shapes` also
+takes every candidate's shape through reduce -> shape_of_reduced and demands
+agreement.  The per-matrix twins of the streams and of the census are in
+`nilpairs.oracles`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .fields import FieldSpec
 from .matrix import ExactMatrix, _np_safe, _unpack_gf2
 from .jordan import InternalInconsistency
-from .partitions import Partition, canonical_sorted, conjugate, format_partition
+from .partitions import (
+    Partition,
+    canonical_sorted,
+    conjugate,
+    enumerate_partitions,
+    format_partition,
+    offsets,
+)
 from .structure import DEFAULT_BUDGET, BudgetExceeded, candidate_count, free_coordinates, pattern_layout
 
 __all__ = [
@@ -48,6 +61,11 @@ def _int64_batch(n: int, cap: int, dtype=np.int64) -> int:
     """Matrices per batch of int64 (or, with dtype=object, Python-int) stacks."""
     cells = _INT64_CELLS if dtype is np.int64 else _OBJECT_CELLS
     return max(1, min(cap, cells // (n * n)))
+
+
+def _step(n: int, dtype) -> int:
+    """Candidates (and A22 blocks) per batch."""
+    return _BATCH if dtype is np.uint32 else _int64_batch(n, _BATCH, dtype)
 
 
 def _classes(rank_mat: np.ndarray, n: int) -> tuple[list[Partition], np.ndarray, np.ndarray]:
@@ -215,22 +233,27 @@ def _rank_rows(mats: np.ndarray, n: int, p: int, bits: bool) -> np.ndarray:
     return np.stack(ranks, axis=1)
 
 
-def _add_shape_counts(counts: dict[Partition, int], mats: np.ndarray, n: int, p: int, bits: bool) -> None:
-    """Add the shapes of a stack of nilpotent n x n candidates to `counts`."""
+def _add_shape_counts(
+    counts: dict[Partition, int], mats: np.ndarray, n: int, p: int, bits: bool, weight: int = 1
+) -> None:
+    """Add the shapes of a stack of nilpotent n x n candidates, each `weight` times, to `counts`."""
     shapes, _, sizes = _classes(_rank_rows(mats, n, p, bits), n)
     for shape, cnt in zip(shapes, sizes.tolist()):
-        counts[shape] = counts.get(shape, 0) + cnt
+        counts[shape] = counts.get(shape, 0) + weight * cnt
 
 
 # -- the candidate streams ------------------------------------------------------------
 
 
-def _exhaustive_stream(mu: Partition, field: FieldSpec, budget: int) -> Iterator[np.ndarray]:
-    """Batches of every nilpotent candidate.
+def _cross_outer(
+    mu: Partition, field: FieldSpec, budget: int, blocks: Iterable[np.ndarray]
+) -> Iterator[np.ndarray]:
+    """Batches of candidates: each A22 block in `blocks` crossed with every outer assignment.
 
-    The A22 blocks are walked in chunks and the nilpotent ones crossed with
-    every outer assignment.  A candidate's entries at the free coordinates
-    are its odometer digits, so it carries its own index (`_odometer_index`).
+    `blocks` yields stacks of nilpotent m x m blocks in the batches'
+    representation.  For each block in turn the outer free coordinates run
+    as an odometer, the first most significant.  The budget is checked on
+    all p^F candidates, whatever `blocks` holds.
     """
     total = candidate_count(mu, field)
     if total > budget:
@@ -239,25 +262,65 @@ def _exhaustive_stream(mu: Partition, field: FieldSpec, budget: int) -> Iterator
     n = mu.n
     p = field.order
     dtype = _dtype(n, field)
-    bits = dtype is np.uint32
-    m, outer, inner, local = _a22_split(mu, free.positions)
+    m, outer, _, _ = _a22_split(mu, free.positions)
     base = n - m
     outer_positions = [free.positions[f] for f in outer]
-    n_a22 = p ** len(inner)
     n_outer = p ** len(outer)
-    step = _BATCH if bits else _int64_batch(n, _BATCH, dtype)
-    for a0 in range(0, n_a22, step):
-        a22 = _index_stack(np.arange(a0, min(a0 + step, n_a22), dtype=np.int64), local, m, p, dtype)
-        kept = a22[_nilpotent_mask(a22, m, p, bits)]
+    step = _step(n, dtype)
+    for kept in blocks:
         size = kept.shape[0] * n_outer
         for start in range(0, size, step):
             j = np.arange(start, min(start + step, size), dtype=np.int64)
             mats = _index_stack(j % n_outer, outer_positions, n, p, dtype)
-            if bits:
+            if dtype is np.uint32:
                 mats[:, base:] |= kept[j // n_outer] << np.uint32(base)
             else:
                 mats[:, base:, base:] = kept[j // n_outer]
             yield mats
+
+
+def _nilpotent_a22_walk(mu: Partition, field: FieldSpec) -> Iterator[np.ndarray]:
+    """Chunks of the nilpotent A22 blocks, walked as an odometer over all p^(m^2).
+
+    Crossed with the outer coordinates (`_cross_outer`), they give every
+    nilpotent candidate, and a candidate's entries at the free coordinates
+    are its odometer digits, so it carries its own index (`_odometer_index`).
+    """
+    n, p = mu.n, field.order
+    dtype = _dtype(n, field)
+    m, _, inner, local = _a22_split(mu, free_coordinates(mu).positions)
+    n_a22 = p ** len(inner)
+    step = _step(n, dtype)
+    for a0 in range(0, n_a22, step):
+        a22 = _index_stack(np.arange(a0, min(a0 + step, n_a22), dtype=np.int64), local, m, p, dtype)
+        yield a22[_nilpotent_mask(a22, m, p, dtype is np.uint32)]
+
+
+def _jordan_stack(lam: Partition, dtype) -> np.ndarray:
+    """A stack of one m x m block, J_lam: ones on the superdiagonal of each part of lam."""
+    ones = [(off + i, off + i + 1) for off, part in zip(offsets(lam), lam) for i in range(part - 1)]
+    return _stack(np.ones((len(ones), 1), dtype=np.int64), ones, lam.n, dtype)
+
+
+def _gl_order(m: int, q: int) -> int:
+    out = 1
+    for i in range(m):
+        out *= q**m - q**i
+    return out
+
+
+def _orbit_size(lam: Partition, q: int) -> int:
+    """Nilpotent m x m matrices over GF(q) of Jordan shape lam: |GL_m(q)| / |C(J_lam)|.
+
+    |C(J_lam)| = q^(sum lam'_i^2 - sum k_v^2) * prod |GL_(k_v)(q)|, k_v the
+    multiplicity of the part v (Macdonald, Symmetric Functions and Hall
+    Polynomials, ch. II and IV).
+    """
+    mults = [lam.count(v) for v in set(lam)]
+    centralizer = q ** (sum(c * c for c in conjugate(lam)) - sum(k * k for k in mults))
+    for k in mults:
+        centralizer *= _gl_order(k, q)
+    return _gl_order(lam.n, q) // centralizer
 
 
 def _odometer_index(rows: list[list[int]], positions, p: int) -> int:
@@ -299,11 +362,18 @@ def _sampled_stream(
 def exhaustive_shape_census(
     mu: Partition, field: FieldSpec, budget: int = DEFAULT_BUDGET
 ) -> dict[Partition, int]:
-    """Shape -> count over all nilpotent annihilating-form candidates (vectorized)."""
+    """Shape -> count over all nilpotent annihilating-form candidates (vectorized).
+
+    One J_lambda per GL_m orbit of A22, its shapes weighted by the orbit size.
+    """
     mu = Partition(mu)
+    n, p = mu.n, field.order
+    dtype = _dtype(n, field)
     counts: dict[Partition, int] = {}
-    for mats in _exhaustive_stream(mu, field, budget):
-        _add_shape_counts(counts, mats, mu.n, field.order, mats.dtype == np.uint32)
+    for lam in enumerate_partitions(n - pattern_layout(mu).base):
+        weight = _orbit_size(lam, p)
+        for mats in _cross_outer(mu, field, budget, [_jordan_stack(lam, dtype)]):
+            _add_shape_counts(counts, mats, n, p, dtype is np.uint32, weight)
     return counts
 
 
@@ -371,12 +441,14 @@ def verify_shapes(
 ) -> VerifyReport:
     """Compare predicted shapes against brute force, dual-checking each matrix.
 
-    Reads the census stream of the mode.  Every nilpotent candidate's shape
-    is taken from its batch's rank rows and again through reduce ->
-    shape_of_reduced; any disagreement (the lowest 20 indices are reported:
-    in exhaustive mode the odometer index, read back from the candidate's
-    free entries, in sample mode the sample index), or
-    any observed shape outside the prediction, yields a mismatch verdict.
+    Exhaustive mode walks every nilpotent A22 block and crosses it with the
+    outer coordinates; sample mode reads the sampled census's stream.  Every
+    nilpotent candidate's shape is taken from its batch's rank rows and
+    again through reduce -> shape_of_reduced; any disagreement (the lowest
+    20 indices are reported: in exhaustive mode the odometer index, read
+    back from the candidate's free entries, in sample mode the sample
+    index), or any observed shape outside the prediction, yields a mismatch
+    verdict.
     Exhaustive mode additionally requires every predicted shape to be
     observed.
     """
@@ -396,7 +468,8 @@ def verify_shapes(
     n, p = mu.n, field.order
     if mode == "exhaustive":
         positions = free_coordinates(mu).positions
-        stream = ((mats, None) for mats in _exhaustive_stream(mu, field, budget))
+        walk = _cross_outer(mu, field, budget, _nilpotent_a22_walk(mu, field))
+        stream = ((mats, None) for mats in walk)
     elif mode == "sample":
         stream = _sampled_stream(mu, field, samples, seed)
     else:

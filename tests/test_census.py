@@ -147,26 +147,36 @@ def test_census_and_verify_past_int64_bound_on_large_entries(monkeypatch):
     assert rep.ok and rep.observed == (shape,)
 
 
-@pytest.mark.parametrize("field", [GF2, GF3, GF(5)], ids=lambda f: f.name)
-def test_chunked_a22_census_matches_reference(monkeypatch, field):
-    # caps small enough that the A22 blocks come in several chunks and their
-    # crossings with the outer coordinates in several batches
+CHUNKED_CASES = ("2,2", "3,3", "2,1,1", "3,1,1", "2,2,1", "1,1,1")
+
+
+def _record_chunks(monkeypatch):
+    """Cap batches at 7 candidates and record the sizes of the stacks that
+    `_nilpotent_mask` (A22 chunks) and `_rank_rows` (candidate batches) see."""
     monkeypatch.setattr(census, "_BATCH", 7)
     monkeypatch.setattr(census, "_INT64_CELLS", 100)
     sizes = {"a22": [], "batch": []}
-    mask, add = census._nilpotent_mask, census._add_shape_counts
+    mask, rank_rows = census._nilpotent_mask, census._rank_rows
 
     def record_mask(mats, n, p, bits):
         sizes["a22"].append(mats.shape[0])
         return mask(mats, n, p, bits)
 
-    def record_add(counts, mats, n, p, bits):
+    def record_rank_rows(mats, n, p, bits):
         sizes["batch"].append(mats.shape[0])
-        return add(counts, mats, n, p, bits)
+        return rank_rows(mats, n, p, bits)
 
     monkeypatch.setattr(census, "_nilpotent_mask", record_mask)
-    monkeypatch.setattr(census, "_add_shape_counts", record_add)
-    for text in ("2,2", "3,3", "2,1,1", "3,1,1", "2,2,1", "1,1,1"):
+    monkeypatch.setattr(census, "_rank_rows", record_rank_rows)
+    return sizes
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, GF(5)], ids=lambda f: f.name)
+def test_chunked_a22_census_matches_reference(monkeypatch, field):
+    # caps small enough that each J_lambda's crossing with the outer
+    # coordinates comes in several batches; the census walks no A22 block
+    sizes = _record_chunks(monkeypatch)
+    for text in CHUNKED_CASES:
         mu = parse_partition(text)
         if candidate_count(mu, field) > 20000:
             continue
@@ -176,9 +186,29 @@ def test_chunked_a22_census_matches_reference(monkeypatch, field):
         assert got == reference_shape_census(mu, field), (text, field.name)
         cap = 7 if field.order == 2 else census._int64_batch(mu.n, 7)
         m = split_core(mu).ones
+        built = len(enumerate_partitions(m)) * field.order ** (len(free_coordinates(mu)) - m * m)
+        assert max(sizes["batch"]) <= cap and not sizes["a22"], text
+        assert sum(sizes["batch"]) == built and len(sizes["batch"]) > 1, text
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, GF(5)], ids=lambda f: f.name)
+def test_chunked_a22_verify_walks_every_block(monkeypatch, field):
+    # verify walks the A22 blocks in several chunks and crosses the nilpotent
+    # ones with the outer coordinates in several batches
+    sizes = _record_chunks(monkeypatch)
+    for text in CHUNKED_CASES:
+        mu = parse_partition(text)
+        if candidate_count(mu, field) > 20000:
+            continue
+        sizes["a22"].clear()
+        sizes["batch"].clear()
+        assert verify_shapes(mu, field).verdict == "equal", (text, field.name)
+        cap = 7 if field.order == 2 else census._int64_batch(mu.n, 7)
+        m = split_core(mu).ones
+        nilpotent = field.order ** (len(free_coordinates(mu)) - m)
         assert max(sizes["a22"] + sizes["batch"]) <= cap, text
         assert len(sizes["a22"]) == -(-field.order ** (m * m) // cap), text
-        assert sum(sizes["batch"]) == sum(got.values()) and len(sizes["batch"]) > 1, text
+        assert sum(sizes["batch"]) == nilpotent and len(sizes["batch"]) > 1, text
 
 
 def test_verify_exhaustive_examples():
@@ -225,13 +255,12 @@ def test_census_prediction_equality_other_fields():
                 assert observed == set(enumerate_shapes(mu)), (tuple(mu), field.name)
 
 
-def test_census_prediction_equality_n6_small_spaces():
-    # beyond the acceptance bound: exhaustive GF(2) completeness at n = 6 for
-    # every mu whose candidate space fits in 2^16
-    for mu in enumerate_partitions(6):
-        if candidate_count(mu, GF2) > 2**16:
-            continue
-        observed = set(exhaustive_shape_census(mu, GF2))
+@pytest.mark.parametrize("n", [6, 7])
+def test_census_prediction_equality_gf2_all_mu(n):
+    # exhaustive GF(2) completeness for every mu of n; the transversal builds
+    # p(m) 2^(F - m^2) matrices to cover up to 2^49 candidates (1^7)
+    for mu in enumerate_partitions(n):
+        observed = set(exhaustive_shape_census(mu, GF2, budget=2**49))
         assert observed == set(enumerate_shapes(mu)), tuple(mu)
 
 
@@ -344,6 +373,15 @@ def test_vectorized_census_class_sizes():
         mu = Partition([1] * n)
         expected = {s: _nilpotent_class_size(s, field.order) for s in enumerate_partitions(n)}
         assert exhaustive_shape_census(mu, field) == expected
+
+
+def test_census_orbit_sizes_sum_to_nilpotent_count():
+    # the orbit weights of the census, summed over lambda |- m, count the
+    # nilpotent m x m matrices over GF(q): q^(m^2 - m) (Fine-Herstein)
+    for q in (2, 3, 5, 7):
+        for m in range(7):
+            total = sum(census._orbit_size(lam, q) for lam in enumerate_partitions(m))
+            assert total == q ** (m * m - m), (m, q)
 
 
 def test_vectorized_census_counts_match_reference():
