@@ -3,24 +3,23 @@
 A candidate (an annihilating-form matrix for mu) is nilpotent exactly when
 its m x m ones block A22 is, and p^(m^2 - m) of the p^(m^2) blocks are
 (Fine-Herstein).  Conjugating by diag(I, P), P in GL_m(p), keeps a candidate
-in the pattern and keeps its Jordan shape, and it maps the candidates over
-one A22 onto those over P A22 P^-1.  So the exhaustive census fixes A22 to
-one J_lambda per orbit, lambda a partition of m, crosses it with every
-assignment of the outer free coordinates and weights the shapes found by the
-orbit size |GL_m(p)| / |C(J_lambda)|: it builds p(m) p^(F - m^2) matrices to
-count the p^(F - m) nilpotent candidates of the p^F.  `verify_shapes` checks
-every nilpotent candidate itself, so its exhaustive stream walks the A22
-blocks in chunks, keeps the nilpotent ones and crosses them the same way; a
-candidate's free entries are then its odometer digits, so it carries its own
-index.  The sampled stream keeps the draws whose A22 is nilpotent, each with
-its sample index; the sampled census and `verify_shapes` read it.  A batch
-holds uint32 bit rows over GF(2) up to n = 32, else int64 matrices (GF(2)
-mod 2 beyond), else, once n x n products could pass 2^62, Python ints.
-Shapes come from the ranks of successive powers (`_gf2_ranks`,
-`_gfp_ranks`), converted once per distinct rank row; `verify_shapes` also
-takes every candidate's shape through reduce -> shape_of_reduced and demands
-agreement.  The per-matrix twins of the streams and of the census are in
-`nilpairs.oracles`.
+in the pattern and keeps its shape, and maps the candidates over one A22
+onto those over P A22 P^-1.  So the exhaustive census fixes A22 to one
+J_lambda per orbit (lambda a partition of m), crosses it with every
+assignment of the outer free coordinates and weights the shapes by the orbit
+size |GL_m(p)| / |C(J_lambda)|: p(m) p^(F - m^2) matrices stand for the
+p^(F - m) nilpotent candidates of the p^F.  `verify_shapes` checks every
+nilpotent candidate, so its exhaustive stream walks the A22 blocks in chunks
+and crosses the nilpotent ones the same way; a candidate's free entries are
+its odometer digits, so it carries its own index.  The sampled stream, read
+by the sampled census and `verify_shapes`, keeps the draws whose A22 is
+nilpotent, each with its sample index.  A batch holds uint32 bit rows over
+GF(2) up to n = 32, else int64 matrices (GF(2) mod 2 beyond), else, once
+n x n products could pass 2^62, Python ints.  Shapes come from the ranks of
+successive powers (`_gf2_ranks`, `_gfp_ranks`), converted once per distinct
+rank row; `verify_shapes` also takes every candidate's shape through reduce
+-> shape_of_reduced and demands agreement.  The per-matrix twins of the
+streams and of the census are in `nilpairs.oracles`.
 """
 
 from __future__ import annotations
@@ -33,14 +32,7 @@ import numpy as np
 from .fields import FieldSpec
 from .matrix import ExactMatrix, _np_safe, _unpack_gf2
 from .jordan import InternalInconsistency
-from .partitions import (
-    Partition,
-    canonical_sorted,
-    conjugate,
-    enumerate_partitions,
-    format_partition,
-    offsets,
-)
+from .partitions import Partition, canonical_sorted, conjugate, enumerate_partitions, format_partition, offsets
 from .structure import DEFAULT_BUDGET, BudgetExceeded, candidate_count, free_coordinates, pattern_layout
 
 __all__ = [
