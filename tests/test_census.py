@@ -37,9 +37,9 @@ def test_census_counts_nilpotent_total():
     assert sum(exhaustive_shape_census(Partition([1] * 4), GF2).values()) == 2**12
 
 
-# full count dicts of the exhaustive census, recorded from the route that
-# built every nilpotent candidate (all p^(F - m) of them) before the census
-# switched to one A22 block per GL_m orbit
+# full count dicts of the exhaustive census, taken from a run that built all
+# p^(F - m) nilpotent candidates one by one, so they check the orbit weights
+# independently of the formula
 GOLDEN_CENSUS = {
     ("1^5", 2): {
         "5": 624960,
