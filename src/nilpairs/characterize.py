@@ -3,9 +3,15 @@
 Fixing sh(B) = mu = (core, 1^m), the attainable shapes for A are exactly
 ord(lambda_1+eps_1, ..., lambda_l+eps_l, 2^c, 1^d) over lambda a partition
 of m, eps_i in {0,1,2}, 0 <= 2c <= 2k - sum(eps), with everything summing
-to n.  `compatible` decides membership and returns a certificate,
-`enumerate_shapes` generates the full shape set, and `witness` constructs an
-explicit 0/1 matrix pair realizing a compatible target, validated end to end.
+to n.  Read part by part this is a small knapsack: each part v of nu is a
+lambda part v - e at cost e (v - e >= 1), a part of 2^c at cost 2, or a
+part of 1^d at cost 0, and nu is attainable exactly when some choice strips
+to m at total cost <= 2k.  `enumerate_shapes` generates the shape set that
+way, placing parts largest first and carrying a frontier (stripped sum ->
+least cost).  `compatible` decides membership by an independent search over
+certificates and returns the key-minimal one; the tests and the `decide`
+bench check the two against each other.  `witness` constructs an explicit
+0/1 matrix pair realizing a compatible target, validated end to end.
 """
 
 from __future__ import annotations
@@ -18,7 +24,6 @@ from .fields import GF2, FieldSpec
 from .matrix import ExactMatrix, NotNilpotent, jordan_matrix
 from .partitions import (
     Partition,
-    canonical_sorted,
     enumerate_partitions,
     equal_runs,
     ord_parts,
@@ -152,8 +157,7 @@ def _certificates(mu: Partition, nu: Partition) -> Iterator[Certificate]:
 
 
 @lru_cache(maxsize=65536)
-def _compatible_cached(mu_t: tuple[int, ...], nu_t: tuple[int, ...]) -> Certificate | None:
-    mu, nu = Partition(mu_t), Partition(nu_t)
+def _compatible_cached(mu: Partition, nu: Partition) -> Certificate | None:
     best: Certificate | None = None
     best_key = None
     for cert in _certificates(mu, nu):
@@ -166,63 +170,59 @@ def _compatible_cached(mu_t: tuple[int, ...], nu_t: tuple[int, ...]) -> Certific
 def compatible(mu: Partition, nu: Partition) -> Certificate | None:
     """Certificate for nu being an attainable partner shape against mu, else None.
 
-    Deterministic choice: lambda latest in the canonical partition order
-    (lexicographically smallest), then minimal sum of epsilons, then maximal c.
+    Deterministic choice: the least key (lam, sum eps, -c, eps), i.e. lambda
+    latest in the canonical partition order (lexicographically smallest), then
+    minimal sum of epsilons, then maximal c, then the smallest eps vector.
     """
     mu, nu = Partition(mu), Partition(nu)
     if mu.n != nu.n:
         raise ValueError(f"|mu| = {mu.n} != |nu| = {nu.n}")
     _require_small(mu.n)
-    cert = _compatible_cached(tuple(mu), tuple(nu))
+    cert = _compatible_cached(mu, nu)
     if cert is not None:
         cert.check(mu, nu)
     return cert
 
 
 @lru_cache(maxsize=4096)
-def _enumerate_shapes_cached(mu_t: tuple[int, ...]) -> tuple[Partition, ...]:
-    mu = Partition(mu_t)
+def _enumerate_shapes_cached(mu: Partition, cap: int) -> tuple[Partition, ...]:
+    """Shapes attainable against mu with every part <= cap, in canonical order."""
     split = split_core(mu)
-    k, m = len(split.core), split.ones
-    n = mu.n
-    if k == 0:  # B = 0 admits every shape; the loop below takes ~4x as long to find that at 1^40
-        return tuple(enumerate_partitions(n))
-    shapes: set[Partition] = set()
-    for lam in enumerate_partitions(m):
-        runs = [(lam[j0], j1 - j0) for j0, j1 in equal_runs(lam)]
+    budget, m = 2 * len(split.core), split.ones
 
-        def rec(idx: int, budget: int, acc: list[int]) -> None:
-            if idx == len(runs):
-                s_eps = sum(acc) - lam.n
-                for c in range(budget // 2 + 1):
-                    d = n - m - s_eps - 2 * c
-                    if d < 0:
-                        continue
-                    shapes.add(ord_parts(acc + [2] * c + [1] * d))
-                return
-            v, cnt = runs[idx]
-            for n2 in range(cnt + 1):
-                if 2 * n2 > budget:
-                    break
-                for n1 in range(cnt - n2 + 1):
-                    used = 2 * n2 + n1
-                    if used > budget:
-                        break
-                    rec(
-                        idx + 1,
-                        budget - used,
-                        acc + [v + 2] * n2 + [v + 1] * n1 + [v] * (cnt - n2 - n1),
-                    )
+    @lru_cache(maxsize=None)
+    def rest(cap: int, left: int, front: tuple[tuple[int, int], ...]) -> list[tuple[int, ...]]:
+        # descending completions with parts <= cap summing to left that strip to m
+        if left == 0:
+            return [()]
+        out = []
+        for v in range(min(cap, left), 0, -1):
+            moves = [(v - e, e) for e in (0, 1, 2) if v - e >= 1]  # (stripped part, cost)
+            if v == 2:
+                moves.append((0, 2))
+            if v == 1:
+                moves.append((0, 0))
+            lo = m - (left - v)  # the parts after v strip to at most left - v
+            best: dict[int, int] = {}
+            for s, cost in front:
+                for strip, e in moves:
+                    s2, c2 = s + strip, cost + e
+                    if lo <= s2 <= m and c2 < best.get(s2, budget + 1):
+                        best[s2] = c2
+            if best:
+                out += [(v,) + tail for tail in rest(v, left - v, tuple(sorted(best.items())))]
+        return out
 
-        rec(0, 2 * k, [])
-    return tuple(canonical_sorted(shapes))
+    shapes = tuple(Partition(nu) for nu in rest(cap, mu.n, ((0, 0),)))
+    rest.cache_clear()  # the memo sits in a reference cycle through the closure; free it now
+    return shapes
 
 
 def enumerate_shapes(mu: Partition) -> tuple[Partition, ...]:
     """All shapes attainable against mu, in canonical order."""
     mu = Partition(mu)
     _require_small(mu.n)
-    return _enumerate_shapes_cached(tuple(mu))
+    return _enumerate_shapes_cached(mu, mu.n)
 
 
 # -- witness construction ----------------------------------------------------------
@@ -309,10 +309,7 @@ def enumerate_vnab(n: int, a: int, b: int) -> tuple[tuple[Partition, Partition],
     for mu in enumerate_partitions(n):
         if mu[0] > a:
             continue
-        for nu in enumerate_shapes(mu):
-            if nu[0] > b:
-                continue
-            pairs.append((mu, nu))
+        pairs += [(mu, nu) for nu in _enumerate_shapes_cached(mu, b)]
     pairs.sort(reverse=True)
     return tuple(pairs)
 

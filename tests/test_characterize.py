@@ -1,4 +1,6 @@
+import hashlib
 import json
+import random
 
 import pytest
 
@@ -21,6 +23,7 @@ from nilpairs.partitions import (
     Partition,
     canonical_sorted,
     enumerate_partitions,
+    format_partition,
     parse_partition,
     split_core,
 )
@@ -120,12 +123,28 @@ def test_degenerate_fast_paths_match_general():
 
 
 def test_compatible_matches_enumerate_shapes():
-    for n in range(1, 9):
+    # every pair up to n = 12, the size of the decide sweep
+    for n in range(1, 13):
         parts = enumerate_partitions(n)
         for mu in parts:
             shapes = set(enumerate_shapes(mu))
             for nu in parts:
                 assert (compatible(mu, nu) is not None) == (nu in shapes)
+    # seeded mu with both core and ones at n = 20..30, nu drawn inside and outside the set
+    rnd = random.Random(20)
+    inside = outside = 0
+    for n in range(20, 31):
+        parts = enumerate_partitions(n)
+        mixed = [mu for mu in parts if split_core(mu).core and split_core(mu).ones]
+        for mu in rnd.sample(mixed, 3):
+            shapes = enumerate_shapes(mu)
+            shape_set = set(shapes)
+            for nu in rnd.sample(shapes, min(6, len(shapes))) + rnd.sample(parts, 6):
+                attainable = nu in shape_set
+                inside += attainable
+                outside += not attainable
+                assert (compatible(mu, nu) is not None) == attainable, (tuple(mu), tuple(nu))
+    assert inside >= 100 and outside >= 100
 
 
 def test_symmetry_small():
@@ -249,6 +268,32 @@ def test_components_cover_all_compatible_pairs():
         for j in range(1, n):
             union |= set(component_pairs(n, j))
         assert union == allpairs
+
+
+def test_shape_sets_golden_digest():
+    # every mu with n <= 14 and its shape set as `enumerate --format csv` prints
+    # it, so a change in content or in canonical order changes the digest
+    text = "\n\n".join(
+        format_partition(mu) + "\n" + "\n".join(format_partition(s) for s in enumerate_shapes(mu))
+        for n in range(1, 15)
+        for mu in enumerate_partitions(n)
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == "acb281023ac9e9002dc2c975d2b119e662f8bd4dcf7f18a3db817f0fd0c02cf0"
+
+
+@pytest.mark.parametrize(
+    "n, a, b, count, digest",
+    [
+        (12, 3, 3, 266, "7ea58e3fd86cb3d68539d2326f4661034501a4a7491e2c28647a94c0144f83f5"),
+        (14, 2, 4, 309, "d4938004b0252f97733e8ca7534a5116b8bd14dfdbde8f4b2cc16219d107972e"),
+        (16, 4, 3, 1191, "f8c37559287cfbaea730e8794d1ac47b6ee90271962bcce98fd81ada44a47648"),
+    ],
+)
+def test_vnab_golden_digest(n, a, b, count, digest):
+    pairs = enumerate_vnab(n, a, b)
+    text = "\n".join(format_partition(mu) + "|" + format_partition(nu) for mu, nu in pairs)
+    assert len(pairs) == count
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_shape_sets_are_canonically_ordered():
