@@ -180,8 +180,8 @@ def test_enumerations_above_max_n_are_usage_errors(capsys, argv):
 
 @pytest.mark.parametrize("mu, count", [("2^10,1^20", 15_972), ("3,3,2,1^30", 17_940)])
 def test_enumerate_large_n(capsys, mu, count):
-    # large shape sets come from the frontier in well under a second; walking
-    # every epsilon assignment of every lambda took about 25 s for each
+    # each set takes well under a second; the bound catches a return to walking
+    # every epsilon assignment of every lambda, which took about 25 s per case
     t0 = time.perf_counter()
     code, out = run_cli(capsys, "enumerate", "--mu", mu, "--format", "csv")
     assert time.perf_counter() - t0 < 10.0
