@@ -17,9 +17,12 @@ nilpotent, each with its sample index.  A batch holds uint32 bit rows over
 GF(2) up to n = 32, else int64 matrices (GF(2) mod 2 beyond), else, once
 n x n products could pass 2^62, Python ints.  Shapes come from the ranks of
 successive powers (`_gf2_ranks`, `_gfp_ranks`), converted once per distinct
-rank row; `verify_shapes` also takes every candidate's shape through reduce
--> shape_of_reduced and demands agreement.  The per-matrix twins of the
-streams and of the census are in `nilpairs.oracles`.
+rank row.  `verify_shapes` also takes every candidate's shape through the
+reduction and `shape_of_reduced` and demands agreement; within a batch it
+runs stage 0 of `reduce` once per distinct A22 block, stages 1-5 for every
+candidate, the formula once per distinct reduced matrix, and `reduce`'s
+postconditions once per slice of candidates, as batched products.  The
+per-matrix twins of the streams and of the census are in `nilpairs.oracles`.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ _GF2_BITS = 32  # columns a uint32 bit row holds; wider GF(2) runs on int64 mod 
 _INT64_CELLS = 1 << 24  # matrix entries per int64 batch, so memory stays bounded
 _OBJECT_CELLS = 1 << 18  # the same for batches of Python ints, one object per entry
 _DISAGREEMENTS = 20  # shape disagreements a verify report lists, lowest index first
+_DUAL_CHECK = 1 << 12  # reductions held for one batched postcondition check
 
 
 def _int64_batch(n: int, cap: int, dtype=np.int64) -> int:
@@ -315,6 +319,11 @@ def _orbit_size(lam: Partition, q: int) -> int:
     return _gl_order(lam.n, q) // centralizer
 
 
+def _a22_key(rows: list[list[int]], base: int) -> tuple:
+    """The rows of a candidate's A22 block: the key of its stage 0."""
+    return tuple(tuple(r[base:]) for r in rows[base:])
+
+
 def _odometer_index(rows: list[list[int]], positions, p: int) -> int:
     """Odometer index of an exhaustive candidate: its free entries, the first most significant."""
     index = 0
@@ -436,7 +445,9 @@ def verify_shapes(
     Exhaustive mode walks every nilpotent A22 block and crosses it with the
     outer coordinates; sample mode reads the sampled census's stream.  Every
     nilpotent candidate's shape is taken from its batch's rank rows and
-    again through reduce -> shape_of_reduced; any disagreement (the lowest
+    again through the reduction and shape_of_reduced (stage 0 cached per A22
+    block, the formula per reduced matrix, `reduce`'s postconditions checked
+    for a slice of candidates at once); any disagreement (the lowest
     20 indices are reported: in exhaustive mode the odometer index, read
     back from the candidate's free entries, in sample mode the sample
     index), or any observed shape outside the prediction, yields a mismatch
@@ -444,9 +455,8 @@ def verify_shapes(
     Exhaustive mode additionally requires every predicted shape to be
     observed.
     """
+    from . import jordan, reduction
     from .characterize import enumerate_shapes
-    from .jordan import shape_of_reduced
-    from .reduction import reduce as reduce_form
 
     mu = Partition(mu)
     if not field.is_finite:
@@ -467,20 +477,41 @@ def verify_shapes(
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
+    base = pattern_layout(mu).base
     disagreements: list[dict] = []
     for mats, drawn in stream:
         bits = mats.dtype == np.uint32
-        shapes, inverse, _ = _classes(_rank_rows(mats, n, p, bits), n)
+        rank_rows = _rank_rows(mats, n, p, bits)
+        shapes, inverse, _ = _classes(rank_rows, n)
         observed.update(shapes)
-        for k, cls in enumerate(inverse.tolist()):
-            rows = mats[k].tolist()
-            if bits:
-                rows = _unpack_gf2(rows, n)
-            formula = shape_of_reduced(reduce_form(ExactMatrix(field, rows, ncols=n, _canon=False), mu))
-            if formula != shapes[cls]:
-                index = _odometer_index(rows, positions, p) if drawn is None else int(drawn[k])
-                pair = dict(oracle=format_partition(shapes[cls]), formula=format_partition(formula))
-                disagreements.append(dict(index=index, **pair))
+        rank_rows, inverse = rank_rows.tolist(), inverse.tolist()
+        stage0: dict = {}  # A22 rows -> stage 0's data
+        formulas: dict = {}  # (lambda, reduced rows) -> formula shape
+        for start in range(0, len(rank_rows), _DUAL_CHECK):
+            originals, pairs, inverses = [], [], []
+            for k in range(start, min(start + _DUAL_CHECK, len(rank_rows))):
+                rows = mats[k].tolist()
+                if bits:
+                    rows = _unpack_gf2(rows, n)
+                a = ExactMatrix(field, rows, ncols=n, _canon=False)
+                key = _a22_key(rows, base)
+                ones = stage0.get(key)
+                if ones is None:
+                    ones = stage0[key] = reduction.jordanize_ones(a.submatrix(base, n, base, n))
+                pair, tinv = reduction.reduce_stages(a, mu, ones)
+                memo = (pair.lam, pair.matrix.rows)
+                formula = formulas.get(memo)
+                if formula is None:
+                    formula = formulas[memo] = jordan.shape_of_reduced(pair)
+                oracle = shapes[inverse[k]]
+                if formula != oracle:
+                    index = _odometer_index(rows, positions, p) if drawn is None else int(drawn[k])
+                    pair_doc = dict(oracle=format_partition(oracle), formula=format_partition(formula))
+                    disagreements.append(dict(index=index, **pair_doc))
+                originals.append(a)
+                pairs.append(pair)
+                inverses.append(tinv)
+            reduction._verify(mu, originals, pairs, inverses, rank_rows[start : start + len(pairs)])
         disagreements.sort(key=lambda d: d["index"])
         del disagreements[_DISAGREEMENTS:]
 

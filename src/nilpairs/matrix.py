@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -256,9 +257,13 @@ class ExactMatrix:
         raise NotNilpotent("matrix is not nilpotent")
 
     def is_nilpotent(self) -> bool:
+        """A^(2^k) == 0 for the least 2^k >= n, by repeated squaring."""
         if not self.is_square():
             return False
-        return self.power(self.nrows).is_zero()
+        power, e = self, 1
+        while e < self.nrows and not power.is_zero():
+            power, e = power.mul(power), 2 * e
+        return power.is_zero()
 
     def nilpotent_shape(self) -> Partition:
         """Jordan shape of a nilpotent matrix via its Weyr (rank difference) sequence."""
@@ -416,6 +421,7 @@ def _mul_gf2(a_bits: list[int], b_bits: list[int]) -> list[int]:
 # -- Jordan machinery ---------------------------------------------------------
 
 
+@lru_cache(maxsize=1024)
 def jordan_matrix(shape: Partition, field: FieldSpec = QQ) -> ExactMatrix:
     """Block-diagonal upper-triangular nilpotent Jordan matrix with the given block sizes."""
     n = shape.n

@@ -10,6 +10,7 @@ tuple comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 __all__ = [
@@ -35,6 +36,8 @@ class Partition(tuple):
     """
 
     def __new__(cls, parts: Iterable[int] = ()) -> "Partition":
+        if type(parts) is cls:  # already validated, and immutable
+            return parts
         t = tuple(int(x) for x in parts)
         for i, v in enumerate(t):
             if v < 1:
@@ -119,6 +122,7 @@ def equal_runs(p: Partition) -> list[tuple[int, int]]:
     return runs
 
 
+@lru_cache(maxsize=1024)
 def split_core(p: Partition) -> CoreSplit:
     """Split p into the core of parts >= 2 and the count of trailing 1-parts."""
     ones = 0

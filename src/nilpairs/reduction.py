@@ -18,18 +18,24 @@ conjugation, which is re-verified defensively before returning.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .fields import FieldSpec
-from .matrix import ExactMatrix, NotNilpotent, jordan_matrix, jordanize_nilpotent
+from .matrix import ExactMatrix, NotNilpotent, _np_safe, jordan_matrix, jordanize_nilpotent
 from .partitions import Partition, equal_runs, from_core, split_core
-from .structure import Layout, corner_layout, matches_annihilating_pattern
+from .structure import Layout, corner_layout, matches_annihilating_pattern, pattern_layout
 
 __all__ = [
     "PreconditionViolated",
     "ReductionError",
     "ReducedPair",
+    "OnesJordan",
+    "jordanize_ones",
     "reduce",
+    "reduce_stages",
     "is_reduced",
 ]
 
@@ -190,6 +196,28 @@ class ReducedPair:
 # -- the pipeline ---------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class OnesJordan:
+    """Stage 0's data for a ones block A22: P^-1 * A22 * P == J_lambda."""
+
+    p: ExactMatrix
+    pinv: ExactMatrix
+    lam: Partition
+
+
+def jordanize_ones(a22: ExactMatrix) -> OnesJordan:
+    """Stage 0 of `reduce`: a Jordan basis P of the ones block A22, P^-1 and lambda.
+
+    A matrix of annihilating form is nilpotent exactly when its A22 is, so a
+    non-nilpotent A22 raises PreconditionViolated.
+    """
+    try:
+        p2, lam = jordanize_nilpotent(a22)
+    except NotNilpotent:
+        raise PreconditionViolated("matrix is not nilpotent") from None
+    return OnesJordan(p=p2, pinv=p2.inverse(), lam=lam)
+
+
 def reduce(a: ExactMatrix, mu: Partition, validate: bool = True, _stage_hook=None) -> ReducedPair:
     """Conjugate an annihilating-form nilpotent matrix into reduced form.
 
@@ -202,34 +230,45 @@ def reduce(a: ExactMatrix, mu: Partition, validate: bool = True, _stage_hook=Non
     """
     mu = Partition(mu)
     n = mu.n
-    f = a.field
     if a.nrows != n or a.ncols != n:
         raise PreconditionViolated(f"matrix is {a.nrows}x{a.ncols}, mu sums to {n}")
     if not matches_annihilating_pattern(a, mu):
         raise PreconditionViolated("matrix does not annihilate J_mu")
+    base = pattern_layout(mu).base
+    pair, tinv = reduce_stages(a, mu, jordanize_ones(a.submatrix(base, n, base, n)), _stage_hook)
+    if validate:
+        _verify(mu, [a], [pair], [tinv], [a.rank_sequence()])
+    return pair
+
+
+def reduce_stages(
+    a: ExactMatrix, mu: Partition, ones: OnesJordan, _stage_hook=None
+) -> tuple[ReducedPair, ExactMatrix]:
+    """`reduce` after stage 0, given stage 0's data for a's ones block; unvalidated.
+
+    a must be of annihilating form for mu.  Returns the pair and the inverse
+    transform, which `_verify` takes.
+    """
     split = split_core(mu)
     core, m = split.core, split.ones
+    n = mu.n
+    f = a.field
     k = len(core)
     base = n - m
 
-    # stage 0: bring A22 to Jordan form by conjugating with diag(I, P^-1);
-    # only the blocks A12*P, P^-1*A21 and P^-1*A22*P change, and the last is
-    # J_lambda by the contract of jordanize_nilpotent (_verify re-checks the
-    # whole conjugation).  The matrix is nilpotent exactly when A22 is.
-    try:
-        p2, lam = jordanize_nilpotent(a.submatrix(base, n, base, n))
-    except NotNilpotent:
-        raise PreconditionViolated("matrix is not nilpotent") from None
-    p2inv = p2.inverse()
+    # stage 0: conjugate by diag(I, P^-1); only the blocks A12*P, P^-1*A21
+    # and P^-1*A22*P change, and the last is J_lambda by the contract of
+    # jordanize_nilpotent (_verify re-checks the whole conjugation)
+    p2, p2inv, lam = ones.p, ones.pinv, ones.lam
     a12 = a.submatrix(0, base, base, n).mul(p2)
     a21 = p2inv.mul(a.submatrix(base, n, 0, base))
     a22 = jordan_matrix(lam, f)
     work = [list(r[:base] + x) for r, x in zip(a.rows, a12.rows)]
     work += [list(y + z) for y, z in zip(a21.rows, a22.rows)]
-    top = ExactMatrix.identity(f, n).rows[:base]
-    zeros = (f.zero(),) * base
-    tw = [list(r) for r in top] + [list(zeros + r) for r in p2inv.rows]
-    ti = [list(r) for r in top] + [list(zeros + r) for r in p2.rows]
+    zero, one = f.zero(), f.one()
+    top = [[one if i == j else zero for j in range(n)] for i in range(base)]
+    tw = top + [[zero] * base + list(r) for r in p2inv.rows]
+    ti = [list(r) for r in top] + [[zero] * base + list(r) for r in p2.rows]
 
     l = len(lam)
 
@@ -241,7 +280,6 @@ def reduce(a: ExactMatrix, mu: Partition, validate: bool = True, _stage_hook=Non
 
     lay = corner_layout(core, lam)
     core_first, core_last, lam_pos = lay.core_first, lay.core_last, lay.lam_pos
-    zero, one = f.zero(), f.one()
 
     # stage 1: zero A12 outside the first column of each lambda block
     for t in range(k):
@@ -348,22 +386,63 @@ def reduce(a: ExactMatrix, mu: Partition, validate: bool = True, _stage_hook=Non
     matrix = ExactMatrix(f, work, _canon=False)
     transform = ExactMatrix(f, tw, _canon=False)
     pair = ReducedPair(mu_core=core, ones=m, lam=lam, matrix=matrix, transform=transform)
-
-    if validate:
-        _verify(pair, a, mu, ExactMatrix(f, ti, _canon=False))
-    return pair
+    return pair, ExactMatrix(f, ti, _canon=False)
 
 
-def _verify(pair: ReducedPair, original: ExactMatrix, mu: Partition, tinv: ExactMatrix) -> None:
-    matrix, transform = pair.matrix, pair.transform
-    if not is_reduced(matrix, mu, pair.lam):
-        raise ReductionError("pipeline output is not in reduced form")
-    if transform.mul(tinv) != ExactMatrix.identity(matrix.field, matrix.nrows):
+def _verify(
+    mu: Partition,
+    originals: list[ExactMatrix],
+    pairs: list[ReducedPair],
+    inverses: list[ExactMatrix],
+    rank_rows: list[list[int]],
+) -> None:
+    """The postconditions of a stack of reductions of annihilating-form matrices for mu.
+
+    For each member: T * T^-1 == I and T * a == M * T (so T * a * T^-1 == M),
+    both taken for the whole stack at once; M is in reduced form, and its
+    rank sequence equals the member's rank row (zero-padded or not), both
+    taken once per distinct (lambda, M).
+    """
+    checked: dict = {}
+    for pair, ranks in zip(pairs, rank_rows):
+        key = (pair.lam, pair.matrix.rows)
+        seq = checked.get(key)
+        if seq is None:
+            if not is_reduced(pair.matrix, mu, pair.lam):
+                raise ReductionError("pipeline output is not in reduced form")
+            seq = checked[key] = pair.matrix.rank_sequence()
+        if seq + [0] * (len(ranks) - len(seq)) != list(ranks):
+            raise ReductionError("rank sequence changed during reduction")
+    f = originals[0].field
+    t, dt = _integer_stack(f, [p.transform for p in pairs])
+    ti, dti = _integer_stack(f, inverses)
+    a, da = _integer_stack(f, originals)
+    m, dm = _integer_stack(f, [p.matrix for p in pairs])
+    eye = np.eye(t.shape[1], dtype=t.dtype)
+    if not _equal_mod(f, np.matmul(t, ti), (dt * dti)[:, None, None] * eye):
         raise ReductionError("accumulated inverse transform is wrong")  # pragma: no cover
-    if transform.mul(original).mul(tinv) != matrix:
+    if not _equal_mod(f, dm[:, None, None] * np.matmul(t, a), da[:, None, None] * np.matmul(m, t)):
         raise ReductionError("conjugation relation transform*a*transform^-1 failed")
-    if original.rank_sequence() != matrix.rank_sequence():
-        raise ReductionError("rank sequence changed during reduction")  # pragma: no cover
+
+
+def _integer_stack(f: FieldSpec, mats: list[ExactMatrix]) -> tuple[np.ndarray, np.ndarray]:
+    """(W, d): a stack W of integer matrices and scales d with mats[i] == W[i] / d[i].
+
+    int64 over GF(p) while products of the size stay exact, else Python ints;
+    over QQ each matrix is scaled by the lcm of its denominators.
+    """
+    shape = (len(mats), mats[0].nrows, mats[0].ncols)
+    if f.is_finite:
+        dtype = np.int64 if _np_safe(f, shape[2]) else object
+        return np.array([x.rows for x in mats], dtype=dtype).reshape(shape), np.ones(shape[0], dtype)
+    scales = [math.lcm(*(v.denominator for r in x.rows for v in r)) for x in mats]
+    ints = [[[v.numerator * (d // v.denominator) for v in r] for r in x.rows] for x, d in zip(mats, scales)]
+    return np.array(ints, dtype=object).reshape(shape), np.array(scales, dtype=object)
+
+
+def _equal_mod(f: FieldSpec, x: np.ndarray, y: np.ndarray) -> bool:
+    """x == y entrywise, modulo p over GF(p)."""
+    return bool(np.all((x - y) % f.order == 0 if f.is_finite else x == y))
 
 
 # -- the reduced-form predicate ---------------------------------------------------

@@ -117,6 +117,7 @@ def corner_layout(core: Partition, lam: Partition) -> Layout:
     return Layout(co, lo, co[:-1] + ones, tuple(c - 1 for c in co[1:]) + ones)
 
 
+@lru_cache(maxsize=1024)
 def pattern_layout(mu: Partition) -> Layout:
     """The layout of mu = (core, 1^m) with one block per ones row."""
     split = split_core(mu)

@@ -190,12 +190,15 @@ def reduction_corpus_results():
                     if shape_of_reduced(r, prof) != shape_from_rank_sequence(seq):
                         stats["bad_shape"] += 1
                     q = len(seq) - 1
+                    power = r.matrix  # A^s, carried across s
                     for s in range(1, q + 2):
                         expected = seq[s + 1] if s + 1 <= q else 0
                         if rank_formula(r, s, prof) != expected:
                             stats["bad_rank_formula"] += 1
-                        if s <= q and assemble_power(r, s) != r.matrix.power(s + 1):
-                            stats["bad_power_blocks"] += 1
+                        if s <= q:
+                            power = power.mul(r.matrix)
+                            if assemble_power(r, s) != power:
+                                stats["bad_power_blocks"] += 1
                     allowed = {1, 2}
                     for part in r.lam:
                         allowed.update({part, part + 1, part + 2})

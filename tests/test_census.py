@@ -321,21 +321,23 @@ def test_verify_sample_disagreements_carry_sample_indices(monkeypatch):
 
 @pytest.mark.parametrize("mode", ["exhaustive", "sample"])
 def test_verify_reduces_every_nilpotent_candidate(monkeypatch, mode):
-    # every nilpotent candidate is dual-checked: one reduce call each, in
-    # several batches, over bit rows, int64 and Python ints
+    # every nilpotent candidate is dual-checked: one reduction (stages 1-5)
+    # each, in several batches and check slices, over bit rows, int64 and
+    # Python ints
     import nilpairs.reduction as reduction
 
     monkeypatch.setattr(census, "_BATCH", 64)
     monkeypatch.setattr(census, "_INT64_CELLS", 64 * 9)
     monkeypatch.setattr(census, "_OBJECT_CELLS", 16 * 9)
+    monkeypatch.setattr(census, "_DUAL_CHECK", 5)
     calls = []
-    real = reduction.reduce
+    real = reduction.reduce_stages
 
     def counting(a, mu, *args, **kwargs):
         calls.append(a)
         return real(a, mu, *args, **kwargs)
 
-    monkeypatch.setattr(reduction, "reduce", counting)
+    monkeypatch.setattr(reduction, "reduce_stages", counting)
     for text, field in (("2,1,1", GF2), ("2,1", GF(5)), ("2,2,1", GF3), ("2,2", GF(2**31 - 1))):
         mu = parse_partition(text)
         calls.clear()
@@ -348,6 +350,50 @@ def test_verify_reduces_every_nilpotent_candidate(monkeypatch, mode):
             expected = sampled_shape_census(mu, field, 200, seed=6)[1]
             rep = verify_shapes(mu, field, mode="sample", samples=200, seed=6)
         assert rep.ok and len(calls) == expected > 0, (text, field.name)
+
+
+def _one_stage0_for_all(monkeypatch):
+    """Hand every candidate the stage 0 of the first A22 block seen (a wrong P)."""
+    import nilpairs.reduction as reduction
+
+    real, first = reduction.jordanize_ones, []
+
+    def stale(a22):
+        if not first:
+            first.append(real(a22))
+        return first[0]
+
+    monkeypatch.setattr(reduction, "jordanize_ones", stale)
+
+
+def _one_a22_key(monkeypatch):
+    """Key every candidate's stage 0 by the same (wrong) key."""
+    monkeypatch.setattr(census, "_a22_key", lambda rows, base: ())
+
+
+@pytest.mark.parametrize("plant", [_one_stage0_for_all, _one_a22_key])
+def test_verify_planted_stage0_fault_is_internal(monkeypatch, capsys, plant):
+    # a candidate reduced with another block's P fails the batched
+    # conjugation check: ReductionError, and exit 3 from the CLI
+    import json
+
+    from nilpairs.cli import main
+    from nilpairs.reduction import ReductionError
+
+    plant(monkeypatch)
+    for mode in ("exhaustive", "sample"):
+        with pytest.raises(ReductionError):
+            verify_shapes(parse_partition("2,1,1"), GF2, mode=mode, samples=200)
+    assert main(["verify", "--mu", "2,1,1", "--field", "gf2"]) == 3
+    assert json.loads(capsys.readouterr().out)["kind"] == "internal-inconsistency"
+
+
+def test_verify_exhaustive_2111_gf2():
+    # 8,192 nilpotent candidates over 64 A22 blocks, every one dual-checked
+    mu = parse_partition("2,1,1,1")
+    rep = verify_shapes(mu, GF2)
+    assert rep.verdict == "equal"
+    assert set(rep.observed) == set(exhaustive_shape_census(mu, GF2))
 
 
 def _gl_order(m: int, q: int) -> int:

@@ -147,6 +147,27 @@ def test_jordanize_random_nilpotent(field):
             assert p.inverse().mul(m).mul(p) == jordan_matrix(s, field)
 
 
+@pytest.mark.parametrize("field", FIELDS)
+def test_is_nilpotent_by_squaring(field):
+    # repeated squaring agrees with A^n == 0, from the empty matrix up
+    assert ExactMatrix.zeros(field, 0, 0).is_nilpotent()
+    assert ExactMatrix.zeros(field, 1, 1).is_nilpotent()
+    assert not ExactMatrix.identity(field, 1).is_nilpotent()
+    assert not ExactMatrix.zeros(field, 2, 3).is_nilpotent()
+    rnd = random.Random(21)
+    for n in range(2, 8):
+        for shape in enumerate_partitions(n):
+            q = random_invertible(field, n, rnd)
+            j = jordan_matrix(shape, field)
+            assert q.mul(j).mul(q.inverse()).is_nilpotent()
+            # J_shape with its last diagonal entry set to 1 has the eigenvalue 1
+            rows = j.tolists()
+            rows[-1][-1] = 1
+            assert not q.mul(ExactMatrix(field, rows)).mul(q.inverse()).is_nilpotent()
+        m = random_matrix(field, n, n, rnd)
+        assert m.is_nilpotent() == m.power(n).is_zero()
+
+
 def test_power_early_exit():
     j = jordan_matrix(Partition([3, 1]), GF2)
     assert j.power(0) == ExactMatrix.identity(GF2, 4)

@@ -44,6 +44,11 @@ def test_validation():
         Partition([2, 0])
     assert Partition([]).n == 0
     assert Partition([3, 1]).n == 4
+    # a Partition is taken as it is, not validated again; a plain tuple is
+    p = Partition([3, 1])
+    assert Partition(p) is p
+    with pytest.raises(ValueError):
+        Partition((1, 3))
 
 
 def test_conjugate_examples():

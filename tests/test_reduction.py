@@ -10,8 +10,12 @@ from nilpairs.partitions import Partition, enumerate_partitions, offsets, parse_
 from nilpairs.reduction import (
     PreconditionViolated,
     ReducedPair,
+    ReductionError,
+    _verify,
     is_reduced,
+    jordanize_ones,
     reduce,
+    reduce_stages,
 )
 from nilpairs.structure import (
     free_coordinates,
@@ -125,6 +129,35 @@ def test_reduce_preconditions():
         reduce(ExactMatrix(GF2, rows), mu)
     with pytest.raises(PreconditionViolated):
         reduce(ExactMatrix.zeros(GF2, 2, 2), mu)
+
+
+@pytest.mark.parametrize("field", [GF2, GF(5), GF(2**61 - 1), QQ])
+def test_verify_checks_each_member_of_a_stack(field):
+    # the postconditions of a stack: zero-padded rank rows are accepted; a
+    # wrong rank row, a member's M or T^-1 from another member are not
+    mu = parse_partition("2,2,1,1")
+    rnd = random.Random(5)
+    originals = []
+    for _ in range(8):
+        rows = [[0] * 6 for _ in range(6)]
+        for r, c in free_coordinates(mu).positions:
+            rows[r][c] = rnd.randint(-2, 2)
+        b = rnd.randint(0, 1)
+        rows[4][4] = rows[5][5] = rows[4 + b][5 - b] = 0  # A22 strictly triangular
+        originals.append(ExactMatrix(field, rows))
+    stages = [reduce_stages(a, mu, jordanize_ones(a.submatrix(4, 6, 4, 6))) for a in originals]
+    pairs, inverses = [p for p, _ in stages], [t for _, t in stages]
+    ranks = [a.rank_sequence() + [0] * 3 for a in originals]
+    _verify(mu, originals, pairs, inverses, ranks)
+    assert len({(p.lam, p.matrix.rows) for p in pairs}) > 1
+    other = next(i for i, p in enumerate(pairs) if p.transform != pairs[0].transform)
+    with pytest.raises(ReductionError, match="rank sequence"):
+        _verify(mu, originals, pairs, inverses, ranks[:-1] + [[6, 0]])
+    with pytest.raises(ReductionError, match="conjugation"):
+        swapped = [pairs[other]] + pairs[1:], [inverses[other]] + inverses[1:], [ranks[other]] + ranks[1:]
+        _verify(mu, originals, *swapped)
+    with pytest.raises(ReductionError, match="inverse transform"):
+        _verify(mu, originals, pairs, [inverses[other]] + inverses[1:], ranks)
 
 
 @pytest.mark.parametrize("field", [GF2, GF3])
