@@ -420,7 +420,7 @@ def _verify(
     m, dm = _integer_stack(f, [p.matrix for p in pairs])
     eye = np.eye(t.shape[1], dtype=t.dtype)
     if not _equal_mod(f, np.matmul(t, ti), (dt * dti)[:, None, None] * eye):
-        raise ReductionError("accumulated inverse transform is wrong")  # pragma: no cover
+        raise ReductionError("accumulated inverse transform is wrong")
     if not _equal_mod(f, dm[:, None, None] * np.matmul(t, a), da[:, None, None] * np.matmul(m, t)):
         raise ReductionError("conjugation relation transform*a*transform^-1 failed")
 
