@@ -19,9 +19,11 @@ n x n products could pass 2^62, Python ints.  Shapes come from the ranks of
 successive powers (`_gf2_ranks`, `_gfp_ranks`), converted once per distinct
 rank row.  `verify_shapes` also takes every candidate's shape through the
 reduction and `shape_of_reduced` and demands agreement; within a batch it
-runs stage 0 of `reduce` once per distinct A22 block, stages 1-5 for every
-candidate, the formula once per distinct reduced matrix, and `reduce`'s
-postconditions once per slice of candidates, as batched products.  The
+runs stage 0 of `reduce` once per distinct A22 block, and within a slice
+of candidates stage 0's block products once per A22 block as one batched
+product (`_reduce_slice`), stages 1-5 for every candidate on row lists
+(`reduction.reduce_rows`), the formula once per distinct reduced matrix,
+and `reduce`'s postconditions once per slice, as batched products.  The
 per-matrix twins of the streams and of the census are in `nilpairs.oracles`.
 """
 
@@ -33,9 +35,17 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .fields import FieldSpec
-from .matrix import ExactMatrix, _np_safe, _unpack_gf2
+from .matrix import ExactMatrix, _np_safe
 from .jordan import InternalInconsistency
-from .partitions import Partition, canonical_sorted, conjugate, enumerate_partitions, format_partition, offsets
+from .partitions import (
+    Partition,
+    canonical_sorted,
+    conjugate,
+    enumerate_partitions,
+    format_partition,
+    offsets,
+    split_core,
+)
 from .structure import DEFAULT_BUDGET, BudgetExceeded, candidate_count, free_coordinates, pattern_layout
 
 __all__ = [
@@ -432,6 +442,43 @@ class VerifyReport:
         return doc
 
 
+def _reduce_slice(mu: Partition, field: FieldSpec, originals: np.ndarray, stage0: dict) -> list[tuple]:
+    """(lambda, M, T, T^-1) of `reduce_stages` for each candidate of an integer stack (B, n, n).
+
+    M comes as a tuple of row tuples, T and T^-1 as row lists.  The
+    candidates are grouped by their A22 block; stage 0 runs once per block
+    (cached in `stage0`), its block products A12 P and P^-1 A21 once per
+    group as one batched product, and stages 1-5 per candidate on row lists.
+    """
+    from . import reduction
+
+    split = split_core(mu)
+    m, p = split.ones, field.order
+    base = mu.n - m
+    rows = originals.tolist()
+    groups: dict = {}
+    for i, r in enumerate(rows):
+        groups.setdefault(_a22_key(r, base), []).append(i)
+    out: list = [None] * len(rows)
+    for key, members in groups.items():
+        ones = stage0.get(key)
+        if ones is None:
+            a22 = ExactMatrix(field, [r[base:] for r in rows[members[0]][base:]], ncols=m, _canon=False)
+            ones = stage0[key] = reduction.jordanize_ones(a22)
+        p2 = np.array(ones.p.rows, dtype=originals.dtype).reshape(m, m)
+        p2inv = np.array(ones.pinv.rows, dtype=originals.dtype).reshape(m, m)
+        work = originals[members]
+        work[:, :base, base:] = np.matmul(work[:, :base, base:], p2) % p
+        work[:, base:, :base] = np.matmul(p2inv, work[:, base:, :base]) % p
+        work[:, base:, base:] = _jordan_stack(ones.lam, originals.dtype)
+        tw0, ti0 = reduction.stage0_transforms(field, base, ones)
+        for i, w in zip(members, work.tolist()):
+            tw, ti = [list(r) for r in tw0], [list(r) for r in ti0]
+            reduction.reduce_rows(field, split.core, ones.lam, w, tw, ti)
+            out[i] = (ones.lam, tuple(map(tuple, w)), tw, ti)
+    return out
+
+
 def verify_shapes(
     mu: Partition,
     field: FieldSpec,
@@ -446,8 +493,11 @@ def verify_shapes(
     outer coordinates; sample mode reads the sampled census's stream.  Every
     nilpotent candidate's shape is taken from its batch's rank rows and
     again through the reduction and shape_of_reduced (stage 0 cached per A22
-    block, the formula per reduced matrix, `reduce`'s postconditions checked
-    for a slice of candidates at once); any disagreement (the lowest
+    block, its block products batched per A22 block within a slice, stages
+    1-5 on row lists, the formula per reduced matrix, `reduce`'s
+    postconditions checked for a slice of candidates at once); a sample
+    run whose draws held no nilpotent candidate reports `checked: 0` in its
+    details; any disagreement (the lowest
     20 indices are reported: in exhaustive mode the odometer index, read
     back from the candidate's free entries, in sample mode the sample
     index), or any observed shape outside the prediction, yields a mismatch
@@ -466,6 +516,7 @@ def verify_shapes(
     predicted = enumerate_shapes(mu)
     observed: set[Partition] = set()
     details: dict = {}
+    checked = 0
 
     n, p = mu.n, field.order
     if mode == "exhaustive":
@@ -477,41 +528,42 @@ def verify_shapes(
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    base = pattern_layout(mu).base
+    split = split_core(mu)
     disagreements: list[dict] = []
     for mats, drawn in stream:
         bits = mats.dtype == np.uint32
         rank_rows = _rank_rows(mats, n, p, bits)
         shapes, inverse, _ = _classes(rank_rows, n)
         observed.update(shapes)
+        checked += len(rank_rows)
         rank_rows, inverse = rank_rows.tolist(), inverse.tolist()
         stage0: dict = {}  # A22 rows -> stage 0's data
         formulas: dict = {}  # (lambda, reduced rows) -> formula shape
         for start in range(0, len(rank_rows), _DUAL_CHECK):
-            originals, pairs, inverses = [], [], []
-            for k in range(start, min(start + _DUAL_CHECK, len(rank_rows))):
-                rows = mats[k].tolist()
-                if bits:
-                    rows = _unpack_gf2(rows, n)
-                a = ExactMatrix(field, rows, ncols=n, _canon=False)
-                key = _a22_key(rows, base)
-                ones = stage0.get(key)
-                if ones is None:
-                    ones = stage0[key] = reduction.jordanize_ones(a.submatrix(base, n, base, n))
-                pair, tinv = reduction.reduce_stages(a, mu, ones)
-                memo = (pair.lam, pair.matrix.rows)
-                formula = formulas.get(memo)
+            originals = mats[start : start + _DUAL_CHECK]
+            if bits:
+                originals = (originals[:, :, None] >> np.arange(n, dtype=np.uint32) & np.uint32(1)).astype(np.int64)
+            reduced = _reduce_slice(mu, field, originals, stage0)
+            for k, (lam, rows, transform, _) in enumerate(reduced, start):
+                formula = formulas.get((lam, rows))
                 if formula is None:
-                    formula = formulas[memo] = jordan.shape_of_reduced(pair)
+                    pair = reduction.ReducedPair(
+                        mu_core=split.core,
+                        ones=split.ones,
+                        lam=lam,
+                        matrix=ExactMatrix(field, rows, _canon=False),
+                        transform=ExactMatrix(field, transform, _canon=False),
+                    )
+                    formula = formulas[lam, rows] = jordan.shape_of_reduced(pair)
                 oracle = shapes[inverse[k]]
                 if formula != oracle:
-                    index = _odometer_index(rows, positions, p) if drawn is None else int(drawn[k])
+                    if drawn is None:
+                        index = _odometer_index(originals[k - start].tolist(), positions, p)
+                    else:
+                        index = int(drawn[k])
                     pair_doc = dict(oracle=format_partition(oracle), formula=format_partition(formula))
                     disagreements.append(dict(index=index, **pair_doc))
-                originals.append(a)
-                pairs.append(pair)
-                inverses.append(tinv)
-            reduction._verify(mu, originals, pairs, inverses, rank_rows[start : start + len(pairs)])
+            reduction._verify(mu, field, originals, reduced, rank_rows[start : start + len(reduced)])
         disagreements.sort(key=lambda d: d["index"])
         del disagreements[_DISAGREEMENTS:]
 
@@ -529,6 +581,8 @@ def verify_shapes(
         verdict = "equal"
     else:
         verdict = "subset"
+    if mode == "sample" and samples and not checked:
+        details["checked"] = 0  # draws were made, but none was nilpotent, so none was dual-checked
     return VerifyReport(
         mu=mu,
         field=field,

@@ -15,7 +15,9 @@ scaled to integer vectors by the lcm of their denominators, their dot product
 is taken on Python ints, and one Fraction is built per output entry; GF(p)
 entries are integers already and the dots are reduced mod p.  numpy serves
 only `mul` over GF(p), as an int64 product when the entries are small enough
-for exact accumulation.
+for exact accumulation.  `power`, `rank_sequence` and `jordanize_nilpotent`
+multiply by one fixed right factor again and again, so they prepare it (its
+integer columns, or its int64 array) once per call (`_right_factor`).
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import math
 import operator
 from fractions import Fraction
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -139,18 +142,30 @@ class ExactMatrix:
             raise ValueError(
                 f"dimension mismatch in mul: {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
             )
-        f = self.field
         if self.nrows == 0 or other.ncols == 0 or self.ncols == 0:
-            return ExactMatrix.zeros(f, self.nrows, other.ncols)
-        if f.is_finite and _np_safe(f, self.ncols):
-            a = np.array(self.rows, dtype=np.int64)
-            b = np.array(other.rows, dtype=np.int64)
-            c = (a @ b) % f.order
-            return ExactMatrix(f, c.tolist(), _canon=False)
-        ia, da = _integer_vectors(self.rows, f)
-        ib, db = _integer_vectors(zip(*other.rows), f)
-        dots = [[sum(map(operator.mul, ra, cb)) for cb in ib] for ra in ia]
-        return ExactMatrix(f, [_from_integers(r, f, di, db) for r, di in zip(dots, da)], _canon=False)
+            return ExactMatrix.zeros(self.field, self.nrows, other.ncols)
+        return other._right_factor()(self)
+
+    def _right_factor(self) -> Callable[[ExactMatrix], ExactMatrix]:
+        """x -> x * self for nonempty x with self.nrows columns; self's columns are
+        scaled to integers once, for every product the function takes."""
+        f = self.field
+        if f.is_finite and _np_safe(f, self.nrows):
+            b = np.array(self.rows, dtype=np.int64)
+
+            def times(x: ExactMatrix) -> ExactMatrix:
+                c = (np.array(x.rows, dtype=np.int64) @ b) % f.order
+                return ExactMatrix(f, c.tolist(), _canon=False)
+
+            return times
+        ib, db = _integer_vectors(zip(*self.rows), f)
+
+        def times(x: ExactMatrix) -> ExactMatrix:
+            ia, da = _integer_vectors(x.rows, f)
+            dots = [[sum(map(operator.mul, ra, cb)) for cb in ib] for ra in ia]
+            return ExactMatrix(f, [_from_integers(r, f, di, db) for r, di in zip(dots, da)], _canon=False)
+
+        return times
 
     def power(self, e: int) -> "ExactMatrix":
         """Iterated multiplication with early exit once a power hits zero."""
@@ -159,10 +174,11 @@ class ExactMatrix:
         if e < 0:
             raise ValueError("negative power")
         acc = ExactMatrix.identity(self.field, self.nrows)
+        times = self._right_factor()
         for _ in range(e):
             if acc.is_zero():
                 return acc
-            acc = acc.mul(self)
+            acc = times(acc)
         return acc
 
     def matvec(self, v: list[Element]) -> list[Element]:
@@ -248,12 +264,12 @@ class ExactMatrix:
                     return seq
                 power = _mul_gf2(power, bits)
         else:
-            power = self
+            power, times = self, self._right_factor()
             for _ in range(n):
                 seq.append(len(_echelon_field(power.rows, self.field)[0]))
                 if seq[-1] == 0:
                     return seq
-                power = power.mul(self)
+                power = times(power)
         raise NotNilpotent("matrix is not nilpotent")
 
     def is_nilpotent(self) -> bool:
@@ -443,10 +459,11 @@ def jordanize_nilpotent(m: ExactMatrix) -> tuple[ExactMatrix, Partition]:
     n = m.nrows
     f = m.field
     powers = [ExactMatrix.identity(f, n)]
+    times = m._right_factor()
     while not powers[-1].is_zero():
         if len(powers) > n:
             raise NotNilpotent("matrix is not nilpotent")
-        powers.append(powers[-1].mul(m))
+        powers.append(times(powers[-1]))
     q = len(powers) - 1  # nilpotency index
     kernels = [[]] + [powers[i].kernel_basis() for i in range(1, q + 1)]
 

@@ -36,6 +36,8 @@ __all__ = [
     "jordanize_ones",
     "reduce",
     "reduce_stages",
+    "reduce_rows",
+    "stage0_transforms",
     "is_reduced",
 ]
 
@@ -237,7 +239,8 @@ def reduce(a: ExactMatrix, mu: Partition, validate: bool = True, _stage_hook=Non
     base = pattern_layout(mu).base
     pair, tinv = reduce_stages(a, mu, jordanize_ones(a.submatrix(base, n, base, n)), _stage_hook)
     if validate:
-        _verify(mu, [a], [pair], [tinv], [a.rank_sequence()])
+        reduced = (pair.lam, pair.matrix.rows, pair.transform.rows, tinv.rows)
+        _verify(mu, a.field, [a.rows], [reduced], [a.rank_sequence()])
     return pair
 
 
@@ -250,11 +253,9 @@ def reduce_stages(
     transform, which `_verify` takes.
     """
     split = split_core(mu)
-    core, m = split.core, split.ones
     n = mu.n
     f = a.field
-    k = len(core)
-    base = n - m
+    base = n - split.ones
 
     # stage 0: conjugate by diag(I, P^-1); only the blocks A12*P, P^-1*A21
     # and P^-1*A22*P change, and the last is J_lambda by the contract of
@@ -265,12 +266,32 @@ def reduce_stages(
     a22 = jordan_matrix(lam, f)
     work = [list(r[:base] + x) for r, x in zip(a.rows, a12.rows)]
     work += [list(y + z) for y, z in zip(a21.rows, a22.rows)]
-    zero, one = f.zero(), f.one()
-    top = [[one if i == j else zero for j in range(n)] for i in range(base)]
-    tw = top + [[zero] * base + list(r) for r in p2inv.rows]
-    ti = [list(r) for r in top] + [[zero] * base + list(r) for r in p2.rows]
+    tw, ti = stage0_transforms(f, base, ones)
+    reduce_rows(f, split.core, lam, work, tw, ti, _stage_hook)
 
-    l = len(lam)
+    matrix = ExactMatrix(f, work, _canon=False)
+    transform = ExactMatrix(f, tw, _canon=False)
+    pair = ReducedPair(mu_core=split.core, ones=split.ones, lam=lam, matrix=matrix, transform=transform)
+    return pair, ExactMatrix(f, ti, _canon=False)
+
+
+def stage0_transforms(f: FieldSpec, base: int, ones: OnesJordan) -> tuple[list[list], list[list]]:
+    """Rows of T = diag(I, P^-1) and T^-1 = diag(I, P), stage 0's transform and its inverse."""
+    zero, one = f.zero(), f.one()
+    top = [[one if i == j else zero for j in range(base + len(ones.p.rows))] for i in range(base)]
+    tw = top + [[zero] * base + list(r) for r in ones.pinv.rows]
+    ti = [list(r) for r in top] + [[zero] * base + list(r) for r in ones.p.rows]
+    return tw, ti
+
+
+def reduce_rows(f: FieldSpec, core: Partition, lam: Partition, work, tw, ti, _stage_hook=None) -> None:
+    """Stages 1-5 of `reduce` on row lists, in place.
+
+    work is the matrix after stage 0 (A22 == J_lambda), tw and ti the rows
+    of the transform and its inverse so far; every move updates all three.
+    """
+    k, l = len(core), len(lam)
+    zero, one = f.zero(), f.one()
 
     def _stage(name: str) -> None:
         if _stage_hook is not None:
@@ -383,61 +404,55 @@ def reduce_stages(
 
     _stage("echelon-y")
 
-    matrix = ExactMatrix(f, work, _canon=False)
-    transform = ExactMatrix(f, tw, _canon=False)
-    pair = ReducedPair(mu_core=core, ones=m, lam=lam, matrix=matrix, transform=transform)
-    return pair, ExactMatrix(f, ti, _canon=False)
 
-
-def _verify(
-    mu: Partition,
-    originals: list[ExactMatrix],
-    pairs: list[ReducedPair],
-    inverses: list[ExactMatrix],
-    rank_rows: list[list[int]],
-) -> None:
+def _verify(mu: Partition, f: FieldSpec, originals, reduced: list[tuple], rank_rows: list[list[int]]) -> None:
     """The postconditions of a stack of reductions of annihilating-form matrices for mu.
 
-    For each member: T * T^-1 == I and T * a == M * T (so T * a * T^-1 == M),
-    both taken for the whole stack at once; M is in reduced form, and its
-    rank sequence equals the member's rank row (zero-padded or not), both
-    taken once per distinct (lambda, M).
+    originals holds the matrices a, as row lists or, over GF(p), as an
+    integer stack (B, n, n); reduced holds each member's (lambda, M, T, T^-1)
+    as rows, M's a tuple of row tuples (it is a key).  For each member:
+    T * T^-1 == I and T * a == M * T (so T * a * T^-1 == M), both taken for
+    the whole stack at once; M is in reduced form, and its rank sequence
+    equals the member's rank row (zero-padded or not), both taken once per
+    distinct (lambda, M).
     """
     checked: dict = {}
-    for pair, ranks in zip(pairs, rank_rows):
-        key = (pair.lam, pair.matrix.rows)
-        seq = checked.get(key)
+    for (lam, rows, _, _), ranks in zip(reduced, rank_rows):
+        seq = checked.get((lam, rows))
         if seq is None:
-            if not is_reduced(pair.matrix, mu, pair.lam):
+            matrix = ExactMatrix(f, rows, _canon=False)
+            if not is_reduced(matrix, mu, lam):
                 raise ReductionError("pipeline output is not in reduced form")
-            seq = checked[key] = pair.matrix.rank_sequence()
+            seq = checked[lam, rows] = matrix.rank_sequence()
         if seq + [0] * (len(ranks) - len(seq)) != list(ranks):
             raise ReductionError("rank sequence changed during reduction")
-    f = originals[0].field
-    t, dt = _integer_stack(f, [p.transform for p in pairs])
-    ti, dti = _integer_stack(f, inverses)
     a, da = _integer_stack(f, originals)
-    m, dm = _integer_stack(f, [p.matrix for p in pairs])
+    m, dm = _integer_stack(f, [r[1] for r in reduced])
+    t, dt = _integer_stack(f, [r[2] for r in reduced])
+    ti, dti = _integer_stack(f, [r[3] for r in reduced])
     eye = np.eye(t.shape[1], dtype=t.dtype)
-    if not _equal_mod(f, np.matmul(t, ti), (dt * dti)[:, None, None] * eye):
+    if not _equal_mod(f, np.matmul(t, ti), dt * dti * eye):
         raise ReductionError("accumulated inverse transform is wrong")
-    if not _equal_mod(f, dm[:, None, None] * np.matmul(t, a), da[:, None, None] * np.matmul(m, t)):
+    if not _equal_mod(f, dm * np.matmul(t, a), da * np.matmul(m, t)):
         raise ReductionError("conjugation relation transform*a*transform^-1 failed")
 
 
-def _integer_stack(f: FieldSpec, mats: list[ExactMatrix]) -> tuple[np.ndarray, np.ndarray]:
-    """(W, d): a stack W of integer matrices and scales d with mats[i] == W[i] / d[i].
+def _integer_stack(f: FieldSpec, mats) -> tuple[np.ndarray, object]:
+    """(W, d): a stack W (B, n, n) of integer matrices and scales d with mats[i] == W[i] / d[i].
 
-    int64 over GF(p) while products of the size stay exact, else Python ints;
-    over QQ each matrix is scaled by the lcm of its denominators.
+    mats is a list of n x n row lists or, over GF(p), an integer stack, which
+    is returned as it is.  Over GF(p) d is 1, and W is int64 while products
+    of the size stay exact, else Python ints; over QQ each matrix is scaled
+    by the lcm of its denominators, and d has shape (B, 1, 1).
     """
-    shape = (len(mats), mats[0].nrows, mats[0].ncols)
+    if isinstance(mats, np.ndarray):
+        return mats, 1
+    shape = (len(mats), len(mats[0]), len(mats[0]))
     if f.is_finite:
-        dtype = np.int64 if _np_safe(f, shape[2]) else object
-        return np.array([x.rows for x in mats], dtype=dtype).reshape(shape), np.ones(shape[0], dtype)
-    scales = [math.lcm(*(v.denominator for r in x.rows for v in r)) for x in mats]
-    ints = [[[v.numerator * (d // v.denominator) for v in r] for r in x.rows] for x, d in zip(mats, scales)]
-    return np.array(ints, dtype=object).reshape(shape), np.array(scales, dtype=object)
+        return np.array(mats, dtype=np.int64 if _np_safe(f, shape[2]) else object).reshape(shape), 1
+    scales = [math.lcm(*(v.denominator for r in x for v in r)) for x in mats]
+    ints = [[[v.numerator * (d // v.denominator) for v in r] for r in x] for x, d in zip(mats, scales)]
+    return np.array(ints, dtype=object).reshape(shape), np.array(scales, dtype=object).reshape(-1, 1, 1)
 
 
 def _equal_mod(f: FieldSpec, x: np.ndarray, y: np.ndarray) -> bool:

@@ -321,9 +321,9 @@ def test_verify_sample_disagreements_carry_sample_indices(monkeypatch):
 
 @pytest.mark.parametrize("mode", ["exhaustive", "sample"])
 def test_verify_reduces_every_nilpotent_candidate(monkeypatch, mode):
-    # every nilpotent candidate is dual-checked: one reduction (stages 1-5)
-    # each, in several batches and check slices, over bit rows, int64 and
-    # Python ints
+    # every nilpotent candidate is dual-checked: one run of stages 1-5 on
+    # its rows each, in several batches and check slices, over bit rows,
+    # int64 and Python ints
     import nilpairs.reduction as reduction
 
     monkeypatch.setattr(census, "_BATCH", 64)
@@ -331,13 +331,13 @@ def test_verify_reduces_every_nilpotent_candidate(monkeypatch, mode):
     monkeypatch.setattr(census, "_OBJECT_CELLS", 16 * 9)
     monkeypatch.setattr(census, "_DUAL_CHECK", 5)
     calls = []
-    real = reduction.reduce_stages
+    real = reduction.reduce_rows
 
-    def counting(a, mu, *args, **kwargs):
-        calls.append(a)
-        return real(a, mu, *args, **kwargs)
+    def counting(f, core, lam, work, *args, **kwargs):
+        calls.append(work)
+        return real(f, core, lam, work, *args, **kwargs)
 
-    monkeypatch.setattr(reduction, "reduce_stages", counting)
+    monkeypatch.setattr(reduction, "reduce_rows", counting)
     for text, field in (("2,1,1", GF2), ("2,1", GF(5)), ("2,2,1", GF3), ("2,2", GF(2**31 - 1))):
         mu = parse_partition(text)
         calls.clear()
@@ -350,6 +350,57 @@ def test_verify_reduces_every_nilpotent_candidate(monkeypatch, mode):
             expected = sampled_shape_census(mu, field, 200, seed=6)[1]
             rep = verify_shapes(mu, field, mode="sample", samples=200, seed=6)
         assert rep.ok and len(calls) == expected > 0, (text, field.name)
+
+
+@pytest.mark.parametrize(
+    "text, field, mode",
+    [
+        ("2,1,1", GF2, "exhaustive"),
+        ("2,2", GF2, "exhaustive"),
+        ("2,1", GF(5), "exhaustive"),
+        ("2,2,1", GF3, "exhaustive"),
+        ("2,2", GF(2**31 - 1), "sample"),
+    ],
+    ids=lambda v: getattr(v, "name", v),
+)
+def test_batched_reduction_matches_per_matrix(monkeypatch, text, field, mode):
+    # verify's batched stage 0 and list-level stages 1-5 give every nilpotent
+    # candidate the (lambda, M, T, T^-1) of the per-matrix reduce_stages, over
+    # bit rows, int64 and Python ints, m = 0 included; check slices are
+    # tiny, so the candidates of one A22 block span several slices and some
+    # slices hold two blocks; the int64 and Python-int batches are tiny too,
+    # and one bit-row batch holds all four blocks of 2,1,1/GF(2)
+    import nilpairs.reduction as reduction
+
+    monkeypatch.setattr(census, "_BATCH", 128)
+    monkeypatch.setattr(census, "_INT64_CELLS", 16 * 25)
+    monkeypatch.setattr(census, "_OBJECT_CELLS", 16 * 25)
+    monkeypatch.setattr(census, "_DUAL_CHECK", 3)
+    seen, blocks = [], []
+    real = reduction._verify
+
+    def capture(mu, f, originals, reduced, rank_rows):
+        seen.extend(zip(originals.tolist(), reduced))
+        blocks.append({str(a[n - m :, n - m :].tolist()) for a in originals})
+        return real(mu, f, originals, reduced, rank_rows)
+
+    monkeypatch.setattr(reduction, "_verify", capture)
+    mu = parse_partition(text)
+    n, m = mu.n, split_core(mu).ones
+    assert verify_shapes(mu, field, mode=mode, samples=60, seed=2).ok
+    if mode == "exhaustive":
+        expected = field.order ** (len(free_coordinates(mu)) - m)
+        assert len({str(rows) for rows, _ in seen}) == expected
+        assert m == 0 or any(b & c for b, c in zip(blocks, blocks[1:])), "no A22 block spans two slices"
+        assert m < 2 or any(len(b) > 1 for b in blocks), "no slice holds two A22 blocks"
+    else:
+        expected = sampled_shape_census(mu, field, 60, seed=2)[1]
+    assert len(seen) == expected > 0
+    for rows, (lam, mat, t, ti) in seen:
+        a = ExactMatrix(field, rows)
+        pair, tinv = reduction.reduce_stages(a, mu, reduction.jordanize_ones(a.submatrix(n - m, n, n - m, n)))
+        assert (lam, mat) == (pair.lam, pair.matrix.rows), rows
+        assert (t, ti) == (pair.transform.tolists(), tinv.tolists()), rows
 
 
 def _one_stage0_for_all(monkeypatch):

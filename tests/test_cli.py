@@ -197,6 +197,18 @@ def test_verify_exhaustive_cli(capsys):
     assert doc["observed"] == ["2,2,1", "2,1,1,1", "1,1,1,1,1"]
 
 
+def test_sampled_verify_that_checked_nothing_says_so(capsys):
+    # at p = 2^31 - 1 no draw of 30 has a nilpotent A22, so nothing is
+    # dual-checked; the report says so, and only then
+    code, out = run_cli(capsys, "verify", "--mu", "2,1", "--field", "gf:2147483647", "--mode", "sample", "--samples", "30")
+    doc = json.loads(out)
+    assert code == 0 and doc["verdict"] == "subset" and doc["observed"] == []
+    assert doc["details"] == {"checked": 0}
+    for argv in (("--field", "gf:3", "--samples", "30"), ("--field", "gf:3", "--samples", "0")):
+        code, out = run_cli(capsys, "verify", "--mu", "2,1", "--mode", "sample", *argv)
+        assert code == 0 and "details" not in json.loads(out), argv
+
+
 def test_modulus_past_int64_is_usage_error(capsys):
     code, out = run_cli(capsys, "verify", "--mu", "2,1", "--field", f"gf:{2**63 + 29}", "--mode", "sample")
     assert code == 2

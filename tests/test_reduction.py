@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from conftest import LAM_FIXTURE, MU_FIXTURE, preduction_fixture, reduced_fixture
@@ -146,18 +147,27 @@ def test_verify_checks_each_member_of_a_stack(field):
         rows[4][4] = rows[5][5] = rows[4 + b][5 - b] = 0  # A22 strictly triangular
         originals.append(ExactMatrix(field, rows))
     stages = [reduce_stages(a, mu, jordanize_ones(a.submatrix(4, 6, 4, 6))) for a in originals]
-    pairs, inverses = [p for p, _ in stages], [t for _, t in stages]
+    pairs = [p for p, _ in stages]
+    reduced = [(p.lam, p.matrix.rows, p.transform.rows, t.rows) for p, t in stages]
+    rows = [a.rows for a in originals]
     ranks = [a.rank_sequence() + [0] * 3 for a in originals]
-    _verify(mu, originals, pairs, inverses, ranks)
+    _verify(mu, field, rows, reduced, ranks)
     assert len({(p.lam, p.matrix.rows) for p in pairs}) > 1
     other = next(i for i, p in enumerate(pairs) if p.transform != pairs[0].transform)
     with pytest.raises(ReductionError, match="rank sequence"):
-        _verify(mu, originals, pairs, inverses, ranks[:-1] + [[6, 0]])
+        _verify(mu, field, rows, reduced, ranks[:-1] + [[6, 0]])
     with pytest.raises(ReductionError, match="conjugation"):
-        swapped = [pairs[other]] + pairs[1:], [inverses[other]] + inverses[1:], [ranks[other]] + ranks[1:]
-        _verify(mu, originals, *swapped)
+        _verify(mu, field, rows, [reduced[other]] + reduced[1:], [ranks[other]] + ranks[1:])
     with pytest.raises(ReductionError, match="inverse transform"):
-        _verify(mu, originals, pairs, [inverses[other]] + inverses[1:], ranks)
+        wrong = reduced[0][:3] + reduced[other][3:]
+        _verify(mu, field, rows, [wrong] + reduced[1:], ranks)
+    if field.is_finite:
+        # the integer stack census passes is checked the same way
+        dtype = object if field.order > 2**31 else np.int64
+        stack = np.array(rows, dtype=dtype)
+        _verify(mu, field, stack, reduced, ranks)
+        with pytest.raises(ReductionError, match="conjugation"):
+            _verify(mu, field, stack[[other] + list(range(1, 8))], reduced, ranks)
 
 
 @pytest.mark.parametrize("field", [GF2, GF3])
