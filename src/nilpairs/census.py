@@ -516,7 +516,6 @@ def verify_shapes(
     predicted = enumerate_shapes(mu)
     observed: set[Partition] = set()
     details: dict = {}
-    checked = 0
 
     n, p = mu.n, field.order
     if mode == "exhaustive":
@@ -535,14 +534,14 @@ def verify_shapes(
         rank_rows = _rank_rows(mats, n, p, bits)
         shapes, inverse, _ = _classes(rank_rows, n)
         observed.update(shapes)
-        checked += len(rank_rows)
         rank_rows, inverse = rank_rows.tolist(), inverse.tolist()
         stage0: dict = {}  # A22 rows -> stage 0's data
         formulas: dict = {}  # (lambda, reduced rows) -> formula shape
         for start in range(0, len(rank_rows), _DUAL_CHECK):
             originals = mats[start : start + _DUAL_CHECK]
-            if bits:
-                originals = (originals[:, :, None] >> np.arange(n, dtype=np.uint32) & np.uint32(1)).astype(np.int64)
+            if bits:  # entry (r, c) is bit c of row r
+                column = np.arange(n, dtype=np.uint32)
+                originals = (originals[:, :, None] >> column & np.uint32(1)).astype(np.int64)
             reduced = _reduce_slice(mu, field, originals, stage0)
             for k, (lam, rows, transform, _) in enumerate(reduced, start):
                 formula = formulas.get((lam, rows))
@@ -581,7 +580,7 @@ def verify_shapes(
         verdict = "equal"
     else:
         verdict = "subset"
-    if mode == "sample" and samples and not checked:
+    if mode == "sample" and samples and not observed:
         details["checked"] = 0  # draws were made, but none was nilpotent, so none was dual-checked
     return VerifyReport(
         mu=mu,

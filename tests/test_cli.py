@@ -200,7 +200,8 @@ def test_verify_exhaustive_cli(capsys):
 def test_sampled_verify_that_checked_nothing_says_so(capsys):
     # at p = 2^31 - 1 no draw of 30 has a nilpotent A22, so nothing is
     # dual-checked; the report says so, and only then
-    code, out = run_cli(capsys, "verify", "--mu", "2,1", "--field", "gf:2147483647", "--mode", "sample", "--samples", "30")
+    argv = ("--mu", "2,1", "--field", "gf:2147483647", "--mode", "sample", "--samples", "30")
+    code, out = run_cli(capsys, "verify", *argv)
     doc = json.loads(out)
     assert code == 0 and doc["verdict"] == "subset" and doc["observed"] == []
     assert doc["details"] == {"checked": 0}
