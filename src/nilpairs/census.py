@@ -16,12 +16,15 @@ by the sampled census and `verify_shapes`, keeps the draws whose A22 is
 nilpotent, each with its sample index.  A batch holds uint32 bit rows over
 GF(2) up to n = 32, else int64 matrices (GF(2) mod 2 beyond), else, once
 n x n products could pass 2^62, Python ints.  Shapes come from the ranks of
-successive powers (`_gf2_ranks`, `_gfp_ranks`), converted once per distinct
-rank row.  `verify_shapes` also takes every candidate's shape through the
-reduction and `shape_of_reduced` and demands agreement; within a batch it
-runs stage 0 of `reduce` once per distinct A22 block, and within a slice
-of candidates stage 0's block products once per A22 block as one batched
-product (`_reduce_slice`), stages 1-5 for every candidate on row lists
+successive powers, taken on the K x K corner at the free rows and columns
+(K = k + m, the parts of mu): `_rank_rows` multiplies a corner's power by its
+ones rows only and ranks it with `_gf2_ranks` or `_gfp_ranks`; the rank rows
+are converted to shapes once per distinct row.  `verify_shapes` also takes
+every candidate's shape through the reduction and `shape_of_reduced` and
+demands agreement; within a batch it runs stage 0 of `reduce` once per
+distinct A22 block, and within a slice of candidates stage 0's block
+products once per A22 block as one batched product (`_reduce_slice`),
+stages 1-5 for every candidate on row lists
 (`reduction.reduce_rows`), the formula once per distinct reduced matrix,
 and `reduce`'s postconditions once per slice, as batched products.  The
 per-matrix twins of the streams and of the census are in `nilpairs.oracles`.
@@ -161,8 +164,8 @@ def _gfp_ranks(mats: np.ndarray, p: int) -> np.ndarray:
 def _dtype(n: int, field: FieldSpec):
     """uint32 bit rows for GF(2) with n <= 32, else int64 while exact, else Python ints.
 
-    Every product taken is of n x n matrices (A22 ones included), so the
-    int64 bound is tied to n.
+    Every product taken is of at most n x n matrices (A22 ones included), so
+    the int64 bound is tied to n.
     """
     if field.order == 2 and n <= _GF2_BITS:
         return np.uint32
@@ -216,34 +219,52 @@ def _nilpotent_mask(mats: np.ndarray, n: int, p: int, bits: bool) -> np.ndarray:
     return ~power.any(axis=1 if bits else (1, 2))
 
 
-def _rank_rows(mats: np.ndarray, n: int, p: int, bits: bool) -> np.ndarray:
-    """Rank rows (B, q) of the powers of nilpotent n x n matrices, zero-padded.
+def _rank_rows(mats: np.ndarray, mu: Partition, p: int, bits: bool) -> np.ndarray:
+    """Rank rows (B, q) of the powers of nilpotent annihilating-form candidates for mu, zero-padded.
 
-    Only members whose last power is nonzero are multiplied again.  The streams
-    pass masked nilpotent stacks, so a nonzero A^n is a bug and raises.
+    A candidate is A = E B F^T, with E and F the unit columns at the K free rows
+    and columns and B the K x K corner.  F^T E = diag(0_k, I_m), since only a
+    ones block has its first row at its last column, so A^s = E B_s F^T with
+    B_1 = B and B_(s+1) = B_s[:, k:] B[k:, :], and rk(A^s) = rk(B_s) because E
+    and F have independent columns.  Only members whose last power is nonzero
+    are multiplied again.  The streams pass masked nilpotent stacks, so a
+    nonzero A^n is a bug and raises.
     """
+    lay = pattern_layout(mu)
+    n, k, width = mu.n, lay.k, len(lay.free_cols)
+    ones = np.uint32((1 << width) - (1 << k))  # bit mask of the ones columns k..K-1
+    rows = mats[:, list(lay.free_rows)]
+    if bits:  # bit j of a corner row is bit free_cols[j]; the ones columns base.. are one run
+        corner = rows >> np.uint32(lay.base - k) & ones
+        for j in range(k):
+            corner |= (rows >> np.uint32(lay.free_cols[j]) & np.uint32(1)) << np.uint32(j)
+    else:
+        corner = rows[:, :, list(lay.free_cols)]
     b = mats.shape[0]
     ranks = [np.full(b, n, dtype=np.int64)]
-    alive, power = np.flatnonzero(ranks[0]), mats  # members whose last power is nonzero
+    alive, power = np.flatnonzero(ranks[0]), corner  # members whose last power is nonzero
     for _ in range(n):
         r = np.zeros(b, dtype=np.int64)
-        r[alive] = _gf2_ranks(power, n) if bits else _gfp_ranks(power, p)
+        r[alive] = _gf2_ranks(power, width) if bits else _gfp_ranks(power, p)
         ranks.append(r)
         keep = r[alive] > 0
         alive, power = alive[keep], power[keep]
         if not alive.size:
             break
-        power = _gf2_matmul(power, mats[alive], n) if bits else np.matmul(power, mats[alive]) % p
+        if bits:
+            power = _gf2_matmul(power & ones, corner[alive], width)
+        else:
+            power = np.matmul(power[:, :, k:], corner[alive][:, k:, :]) % p
     if alive.size:
         raise InternalInconsistency(f"{alive.size} of {b} candidates have a nonzero power A^{n}; not nilpotent")
     return np.stack(ranks, axis=1)
 
 
 def _add_shape_counts(
-    counts: dict[Partition, int], mats: np.ndarray, n: int, p: int, bits: bool, weight: int = 1
+    counts: dict[Partition, int], mats: np.ndarray, mu: Partition, p: int, bits: bool, weight: int = 1
 ) -> None:
-    """Add the shapes of a stack of nilpotent n x n candidates, each `weight` times, to `counts`."""
-    shapes, _, sizes = _classes(_rank_rows(mats, n, p, bits), n)
+    """Add the shapes of a stack of nilpotent candidates for mu, each `weight` times, to `counts`."""
+    shapes, _, sizes = _classes(_rank_rows(mats, mu, p, bits), mu.n)
     for shape, cnt in zip(shapes, sizes.tolist()):
         counts[shape] = counts.get(shape, 0) + weight * cnt
 
@@ -384,7 +405,7 @@ def exhaustive_shape_census(
     for lam in enumerate_partitions(n - pattern_layout(mu).base):
         weight = _orbit_size(lam, p)
         for mats in _cross_outer(mu, field, budget, [_jordan_stack(lam, dtype)]):
-            _add_shape_counts(counts, mats, n, p, dtype is np.uint32, weight)
+            _add_shape_counts(counts, mats, mu, p, dtype is np.uint32, weight)
     return counts
 
 
@@ -400,7 +421,7 @@ def sampled_shape_census(
     nilp_total = 0
     for mats, _ in _sampled_stream(mu, field, samples, seed):
         nilp_total += mats.shape[0]
-        _add_shape_counts(counts, mats, mu.n, field.order, mats.dtype == np.uint32)
+        _add_shape_counts(counts, mats, mu, field.order, mats.dtype == np.uint32)
     return counts, nilp_total
 
 
@@ -531,7 +552,7 @@ def verify_shapes(
     disagreements: list[dict] = []
     for mats, drawn in stream:
         bits = mats.dtype == np.uint32
-        rank_rows = _rank_rows(mats, n, p, bits)
+        rank_rows = _rank_rows(mats, mu, p, bits)
         shapes, inverse, _ = _classes(rank_rows, n)
         observed.update(shapes)
         rank_rows, inverse = rank_rows.tolist(), inverse.tolist()

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from nilpairs.fields import GF2, GF3, GF
 from nilpairs.jordan import InternalInconsistency
 from nilpairs.matrix import ExactMatrix
 from nilpairs.oracles import candidate_at, reference_shape_census, sample_candidate
-from nilpairs.partitions import Partition, enumerate_partitions, parse_partition, split_core
+from nilpairs.partitions import Partition, enumerate_partitions, format_partition, parse_partition, split_core
 from nilpairs.structure import BudgetExceeded, candidate_count, free_coordinates
 
 
@@ -162,9 +164,9 @@ def _record_chunks(monkeypatch):
         sizes["a22"].append(mats.shape[0])
         return mask(mats, n, p, bits)
 
-    def record_rank_rows(mats, n, p, bits):
+    def record_rank_rows(mats, mu, p, bits):
         sizes["batch"].append(mats.shape[0])
-        return rank_rows(mats, n, p, bits)
+        return rank_rows(mats, mu, p, bits)
 
     monkeypatch.setattr(census, "_nilpotent_mask", record_mask)
     monkeypatch.setattr(census, "_rank_rows", record_rank_rows)
@@ -541,14 +543,95 @@ def test_batched_rank_routines_match_exact_rank():
 
 
 def test_rank_rows_raise_on_a_stack_that_is_not_nilpotent():
-    # the powers of I_2 never reach zero: the capped loop raises instead of spinning
+    # the powers of I_2 never reach zero: the capped loop raises instead of
+    # spinning; under mu = 1^2 every 2 x 2 matrix is of annihilating form
+    ones = Partition([1, 1])
     eye = np.eye(2, dtype=np.int64)[None]
     with pytest.raises(InternalInconsistency):
-        census._rank_rows(eye, 2, 3, False)
+        census._rank_rows(eye, ones, 3, False)
     with pytest.raises(InternalInconsistency):
-        census._rank_rows(eye.astype(object), 2, 3, False)
+        census._rank_rows(eye.astype(object), ones, 3, False)
     bits = np.array([[0b01, 0b10]], dtype=np.uint32)
     with pytest.raises(InternalInconsistency):
-        census._rank_rows(bits, 2, 2, True)
+        census._rank_rows(bits, ones, 2, True)
     nilpotent = np.array([[[0, 1], [0, 0]]], dtype=np.int64)
-    assert census._rank_rows(np.concatenate([nilpotent, nilpotent]), 2, 3, False).tolist() == [[2, 1, 0]] * 2
+    assert census._rank_rows(np.concatenate([nilpotent, nilpotent]), ones, 3, False).tolist() == [[2, 1, 0]] * 2
+    # with a core block: 2,1 with A22 = [1] is idempotent, so its powers never vanish either
+    mu = Partition([2, 1])
+    a22 = np.zeros((1, 3, 3), dtype=np.int64)
+    a22[0, 2, 2] = 1
+    bits = np.array([[0, 0, 0b100]], dtype=np.uint32)
+    for mats, p, is_bits in ((a22, 3, False), (a22.astype(object), 3, False), (bits, 2, True)):
+        with pytest.raises(InternalInconsistency):
+            census._rank_rows(mats, mu, p, is_bits)
+
+
+def _sampled_batches(mu, field, samples=600):
+    return (mats for mats, _ in census._sampled_stream(mu, field, samples, seed=11))
+
+
+def _nilpotent_batches(mu, field):
+    """Batches of nilpotent candidates for mu: every one when there are few, else
+    the first batches of the J_lambda crossings; then the nilpotent seeded draws."""
+    count = candidate_count(mu, field)
+    if count <= 2**12:
+        yield from census._cross_outer(mu, field, count, census._nilpotent_a22_walk(mu, field))
+    else:
+        dtype = census._dtype(mu.n, field)
+        blocks = [census._jordan_stack(lam, dtype) for lam in enumerate_partitions(split_core(mu).ones)]
+        yield from itertools.islice(census._cross_outer(mu, field, count, blocks), 4)
+    yield from _sampled_batches(mu, field)
+
+
+def _assert_corner_rank_rows(mu, field, batches, members=24):
+    """`_rank_rows` on the K x K corner equals the full n x n rank sequences
+    (ExactMatrix.rank_sequence, zero-padded) of sampled members of every batch."""
+    n, p = mu.n, field.order
+    rnd = np.random.default_rng(n)
+    seen = 0
+    for mats in batches:
+        bits = mats.dtype == np.uint32
+        rows = census._rank_rows(mats, mu, p, bits)
+        if bits:
+            mats = (mats[:, :, None] >> np.arange(n, dtype=np.uint32) & np.uint32(1)).astype(np.int64)
+        for i in rnd.choice(mats.shape[0], min(members, mats.shape[0]), replace=False):
+            seq = ExactMatrix(field, mats[i].tolist()).rank_sequence()
+            assert rows[i].tolist() == seq + [0] * (rows.shape[1] - len(seq)), (format_partition(mu), field.name)
+            seen += 1
+    assert seen, (format_partition(mu), field.name)
+
+
+@pytest.mark.parametrize("field", [GF2, GF3], ids=lambda f: f.name)
+def test_corner_rank_rows_match_full_rank_sequences(monkeypatch, field):
+    # every mu with n <= 7: bit rows over GF(2), int64 over GF(3); 1^n has
+    # k = 0, 3,3 and 2,2,2 have m = 0, 2,1 and 3,2,1 have m = 1
+    monkeypatch.setattr(census, "_BATCH", 1 << 10)
+    for n in range(1, 8):
+        for mu in enumerate_partitions(n):
+            _assert_corner_rank_rows(mu, field, _nilpotent_batches(mu, field))
+
+
+def test_corner_rank_rows_past_a_bit_row_and_the_int64_bound(monkeypatch):
+    # GF(2) at n = 34 (int64 mod 2) and n = 32 (the widest bit row)
+    for text in ("17,17", "30,1,1"):
+        mu = parse_partition(text)
+        _assert_corner_rank_rows(mu, GF2, _nilpotent_batches(mu, GF2))
+    # GF(2^31 - 1), whose batches hold Python ints: a uniform A22 is almost
+    # never nilpotent, so the draws keep only A22's entries above its diagonal
+    from nilpairs import rng
+
+    field = GF(2**31 - 1)
+    for text in ("1,1,1,1", "3,3", "2,2,2", "2,1", "2,2,1", "3,2,1,1", "2,1,1,1"):
+        mu = parse_partition(text)
+        positions = free_coordinates(mu).positions
+        base = mu.n - split_core(mu).ones
+        lower = [f for f, (r, c) in enumerate(positions) if r >= base and c >= base and r >= c]
+        draws = np.random.default_rng(mu.n)
+
+        def values(seed, start, count, p, nf=len(positions), lower=lower, draws=draws):
+            vals = draws.integers(0, p, size=(count // nf, nf), dtype=np.int64)
+            vals[:, lower] = 0
+            return vals.reshape(-1)
+
+        monkeypatch.setattr(rng, "values_mod_np", values)
+        _assert_corner_rank_rows(mu, field, _sampled_batches(mu, field, samples=40))
