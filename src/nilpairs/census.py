@@ -21,13 +21,15 @@ successive powers, taken on the K x K corner at the free rows and columns
 ones rows only and ranks it with `_gf2_ranks` or `_gfp_ranks`; the rank rows
 are converted to shapes once per distinct row.  `verify_shapes` also takes
 every candidate's shape through the reduction and `shape_of_reduced` and
-demands agreement; within a batch it runs stage 0 of `reduce` once per
-distinct A22 block, and within a slice of candidates stage 0's block
-products once per A22 block as one batched product (`_reduce_slice`),
-stages 1-5 for every candidate on row lists
-(`reduction.reduce_rows`), the formula once per distinct reduced matrix,
-and `reduce`'s postconditions once per slice, as batched products.  The
-per-matrix twins of the streams and of the census are in `nilpairs.oracles`.
+demands agreement.  It reduces a slice of candidates at a time as integer
+stacks (`_reduce_slice`): stage 0 of `reduce` once per distinct A22 block
+in a batch, its block products as one batched product, and stages 1-5 once
+per lambda as masked batched moves on the members' stacks
+(`_reduce_stack`, the twin of the per-matrix `reduction.reduce_rows` that
+`reduce` runs).  `reduce`'s postconditions and the formula then run on the
+stacks, once per distinct (lambda, M) where they need M, and once per
+slice where they compare members.  The per-matrix twins of the streams and
+of the census are in `nilpairs.oracles`.
 """
 
 from __future__ import annotations
@@ -45,11 +47,12 @@ from .partitions import (
     canonical_sorted,
     conjugate,
     enumerate_partitions,
+    equal_runs,
     format_partition,
     offsets,
     split_core,
 )
-from .structure import DEFAULT_BUDGET, BudgetExceeded, candidate_count, free_coordinates, pattern_layout
+from .structure import DEFAULT_BUDGET, BudgetExceeded, candidate_count, corner_layout, free_coordinates, pattern_layout
 
 __all__ = [
     "VerifyReport",
@@ -64,6 +67,7 @@ _INT64_CELLS = 1 << 24  # matrix entries per int64 batch, so memory stays bounde
 _OBJECT_CELLS = 1 << 18  # the same for batches of Python ints, one object per entry
 _DISAGREEMENTS = 20  # shape disagreements a verify report lists, lowest index first
 _DUAL_CHECK = 1 << 12  # reductions held for one batched postcondition check
+_ODOMETER = 2**63 - 1  # entries an int64 odometer index can reach
 
 
 def _int64_batch(n: int, cap: int, dtype=np.int64) -> int:
@@ -280,7 +284,9 @@ def _cross_outer(
     `blocks` yields stacks of nilpotent m x m blocks in the batches'
     representation.  For each block in turn the outer free coordinates run
     as an odometer, the first most significant.  The budget is checked on
-    all p^F candidates, whatever `blocks` holds.
+    all p^F candidates, whatever `blocks` holds.  The odometer's indices are
+    int64, so more than 2^63 - 1 outer assignments are refused whatever the
+    budget, before any array is built.
     """
     total = candidate_count(mu, field)
     if total > budget:
@@ -293,6 +299,8 @@ def _cross_outer(
     base = n - m
     outer_positions = [free.positions[f] for f in outer]
     n_outer = p ** len(outer)
+    if n_outer > _ODOMETER:
+        raise BudgetExceeded(total, _ODOMETER)
     step = _step(n, dtype)
     for kept in blocks:
         size = kept.shape[0] * n_outer
@@ -348,11 +356,6 @@ def _orbit_size(lam: Partition, q: int) -> int:
     for k in mults:
         centralizer *= _gl_order(k, q)
     return _gl_order(lam.n, q) // centralizer
-
-
-def _a22_key(rows: list[list[int]], base: int) -> tuple:
-    """The rows of a candidate's A22 block: the key of its stage 0."""
-    return tuple(tuple(r[base:]) for r in rows[base:])
 
 
 def _odometer_index(rows: list[list[int]], positions, p: int) -> int:
@@ -463,41 +466,207 @@ class VerifyReport:
         return doc
 
 
-def _reduce_slice(mu: Partition, field: FieldSpec, originals: np.ndarray, stage0: dict) -> list[tuple]:
-    """(lambda, M, T, T^-1) of `reduce_stages` for each candidate of an integer stack (B, n, n).
+def _inverse_mod(v: np.ndarray, p: int) -> np.ndarray:
+    """v^(p-2) mod p for every entry of an integer vector: the inverse of each nonzero entry."""
+    out, base, e = np.ones_like(v), v % p, p - 2
+    while e:
+        if e & 1:
+            out = out * base % p
+        base = base * base % p
+        e >>= 1
+    return out
 
-    M comes as a tuple of row tuples, T and T^-1 as row lists.  The
-    candidates are grouped by their A22 block; stage 0 runs once per block
-    (cached in `stage0`), its block products A12 P and P^-1 A21 once per
-    group as one batched product, and stages 1-5 per candidate on row lists.
+
+def _reduce_stack(
+    field: FieldSpec, core: Partition, lam: Partition, w: np.ndarray, t: np.ndarray, ti: np.ndarray
+) -> None:
+    """Stages 1-5 of `reduce` for a stack of matrices after stage 0 (A22 == J_lam), in place.
+
+    w, t and ti are integer stacks (B, n, n) over GF(p): the matrices, the
+    transforms so far and their inverses.  Each move of `reduction.reduce_rows`
+    runs for every member at once with a per-member coefficient.  An add
+    with coefficient 0, a scale by 1 and a swap of a position with itself
+    are the identity, so every member takes exactly the moves `reduce_rows`
+    takes on it, in the same order.  Stage 3 keeps each member's pivot count
+    and the pivot row of each column, stage 4 is one permutation of the
+    lambda blocks per member and stage 5 keeps each member's echelon column.
+    """
+    mod = field.order
+    lay = corner_layout(core, lam)
+    k, l = lay.k, len(lam)
+    b, n = w.shape[0], w.shape[1]
+    bidx = np.arange(b)
+    first = np.array(lay.co[:-1], dtype=np.intp)  # core_first(t)
+    last = np.array(lay.co[1:], dtype=np.intp) - 1  # core_last(t)
+    lo = np.array(lay.lo, dtype=np.intp)  # lam_pos(j)
+    identity = np.tile(np.arange(n, dtype=np.intp), (b, 1))
+
+    def add(p, q, xi) -> None:
+        """Conjugate by E = I + xi e[p, q]: rows p += xi rows q, then columns q -= xi columns p.
+
+        p and q are positions or per-member position arrays; xi is per member.
+        """
+        if not xi.any():
+            return
+        xi = xi.reshape(b, 1).copy()
+        w[bidx, p] = (w[bidx, p] + xi * w[bidx, q]) % mod
+        w[bidx, :, q] = (w[bidx, :, q] - xi * w[bidx, :, p]) % mod
+        t[bidx, p] = (t[bidx, p] + xi * t[bidx, q]) % mod
+        ti[bidx, :, q] = (ti[bidx, :, q] - xi * ti[bidx, :, p]) % mod
+
+    def swap(mask, p, q) -> None:
+        """Conjugate the members in mask by the transposition of positions p and q (per member)."""
+        mask = mask & (p != q)
+        if not mask.any():
+            return
+        perm = identity.copy()
+        sel = np.flatnonzero(mask)
+        perm[sel, p[sel]], perm[sel, q[sel]] = q[sel], p[sel]
+        permute(perm)
+
+    def permute(perm) -> None:
+        """Conjugate member i by the permutation matrix taking row r to row perm[i, r]'s place:
+        w'[r, c] = w[perm[r], perm[c]], T' rows gathered, T^-1 columns gathered."""
+        at, rows, cols = bidx[:, None, None], perm[:, :, None], perm[:, None, :]
+        w[:] = w[at, rows, cols]
+        t[:] = t[at, rows, np.arange(n)]
+        ti[:] = ti[at, np.arange(n)[:, None], cols]
+
+    def scale(mask, p, alpha, inv) -> None:
+        """Conjugate the members in mask by diag(..., alpha, ...) at position p (per member)."""
+        if not mask.any():
+            return
+        d, dinv = np.ones((b, n), dtype=w.dtype), np.ones((b, n), dtype=w.dtype)
+        d[bidx, p] = np.where(mask, alpha, 1)
+        dinv[bidx, p] = np.where(mask, inv, 1)
+        w[:] = w * d[:, :, None] % mod * dinv[:, None, :] % mod
+        t[:] = t * d[:, :, None] % mod
+        ti[:] = ti * dinv[:, None, :] % mod
+
+    # stage 1: zero A12 outside the first column of each lambda block
+    for tt in range(k):
+        p = lay.core_first(tt)
+        for j in range(l):
+            for i in range(1, lam[j]):
+                add(p, lay.lam_pos(j, i - 1), -w[:, p, lay.lam_pos(j, i)] % mod)
+
+    # stage 2: zero A21 outside the last row of each lambda block
+    for tt in range(k):
+        qcol = lay.core_last(tt)
+        for j in range(l):
+            for i in range(lam[j] - 1):
+                add(lay.lam_pos(j, i + 1), qcol, w[:, lay.lam_pos(j, i), qcol])
+
+    # stage 3: Gaussian elimination on the A12 corner matrix X; a member's
+    # pivot rows are 0..npiv-1, and pivot_row[:, j] is column j's (or -1)
+    npiv = np.zeros(b, dtype=np.intp)
+    pivot_row = np.full((b, l), -1, dtype=np.intp)
+    for j in range(l):
+        col = lay.lam_pos(j)
+        support = (w[:, first, col] != 0) & (np.arange(k) >= npiv[:, None])
+        piv = support.any(axis=1)
+        # dependent column: zero it against the earlier pivot columns, in order
+        for pc in range(j):
+            on = ~piv & (pivot_row[:, pc] >= 0)
+            if not on.any():
+                continue
+            v = np.where(on, w[bidx, first[pivot_row[:, pc]], col], 0)
+            for i in range(lam[j]):
+                add(lay.lam_pos(pc, i), lay.lam_pos(j, i), v)
+            if lam[pc] > lam[j]:
+                # the move parked v * Y[j] in a middle row of block pc; clear it
+                junk, below = lay.lam_pos(pc, lam[j] - 1), lay.lam_pos(pc, lam[j])
+                for q in last:
+                    add(below, q, np.where(v != 0, w[:, junk, q], 0))
+        if not piv.any():
+            continue
+        rho = first[np.where(piv, npiv, 0)]
+        swap(piv, first[support.argmax(axis=1)], rho)
+        v = w[bidx, rho, col]
+        scale(piv & (v != 1), rho, _inverse_mod(v, mod), v)
+        for r in range(k):
+            add(first[r], rho, np.where(piv & (rho != first[r]), -w[:, first[r], col] % mod, 0))
+        pivot_row[:, j] = np.where(piv, npiv, -1)
+        npiv += piv
+
+    # stage 4: within each run of equal lambda parts, move pivot columns first
+    perm = identity.copy()
+    for j0, j1 in equal_runs(lam):
+        if j1 - j0 > 1:
+            order = lo[j0 + np.argsort(pivot_row[:, j0:j1] < 0, axis=1, kind="stable")]  # block in each slot
+            for i in range(lam[j0]):
+                perm[:, lo[j0:j1] + i] = order + i
+    if (perm != identity).any():
+        permute(perm)
+
+    # stage 5: column echelon reduction of the A21 corner matrix Y; cur is
+    # each member's next echelon column
+    cur = np.zeros(b, dtype=np.intp)
+    for i in range(l):
+        row = lay.lam_last(i)
+        cand = (w[:, row, last] != 0) & (np.arange(k) >= cur[:, None])
+        active = cand.any(axis=1)
+        if not active.any():
+            continue
+        at = last[np.where(active, cur, 0)]
+        swap(active, last[cand.argmax(axis=1)], at)
+        v = w[bidx, row, at]
+        scale(active & (v != 1), at, v, _inverse_mod(v, mod))
+        for c in range(k):
+            add(at, last[c], np.where(active & (at != last[c]), w[:, row, last[c]], 0))
+        cur += active
+
+
+def _a22_groups(originals: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray]:
+    """(first member of each group, group of each member) of a stack grouped by its A22 block."""
+    from .reduction import _unique_rows
+
+    return _unique_rows(originals[:, base:, base:].reshape(originals.shape[0], -1))
+
+
+def _reduce_slice(mu: Partition, field: FieldSpec, originals: np.ndarray, stage0: dict) -> tuple:
+    """(lam_id, lams, M, T, T^-1): `reduce_stages` for each candidate of an integer stack (B, n, n).
+
+    Member i has lambda lams[lam_id[i]] and the reduced matrix, transform and
+    inverse transform M[i], T[i] and T^-1[i], integer stacks like originals.
+    The candidates are grouped by their A22 block; stage 0 runs once per
+    block (cached in `stage0`), its block products A12 P and P^-1 A21 as one
+    batched product, and stages 1-5 once per lambda as batched moves on the
+    members' stacks (`_reduce_stack`).
     """
     from . import reduction
 
     split = split_core(mu)
     m, p = split.ones, field.order
     base = mu.n - m
-    rows = originals.tolist()
-    groups: dict = {}
-    for i, r in enumerate(rows):
-        groups.setdefault(_a22_key(r, base), []).append(i)
-    out: list = [None] * len(rows)
-    for key, members in groups.items():
+    first, group = _a22_groups(originals, base)
+    p2s, p2invs, lam_ids, lams = [], [], [], {}
+    for i in first.tolist():
+        a22 = originals[i, base:, base:].tolist()
+        key = tuple(map(tuple, a22))
         ones = stage0.get(key)
         if ones is None:
-            a22 = ExactMatrix(field, [r[base:] for r in rows[members[0]][base:]], ncols=m, _canon=False)
-            ones = stage0[key] = reduction.jordanize_ones(a22)
-        p2 = np.array(ones.p.rows, dtype=originals.dtype).reshape(m, m)
-        p2inv = np.array(ones.pinv.rows, dtype=originals.dtype).reshape(m, m)
-        work = originals[members]
-        work[:, :base, base:] = np.matmul(work[:, :base, base:], p2) % p
-        work[:, base:, :base] = np.matmul(p2inv, work[:, base:, :base]) % p
-        work[:, base:, base:] = _jordan_stack(ones.lam, originals.dtype)
-        tw0, ti0 = reduction.stage0_transforms(field, base, ones)
-        for i, w in zip(members, work.tolist()):
-            tw, ti = [list(r) for r in tw0], [list(r) for r in ti0]
-            reduction.reduce_rows(field, split.core, ones.lam, w, tw, ti)
-            out[i] = (ones.lam, tuple(map(tuple, w)), tw, ti)
-    return out
+            ones = stage0[key] = reduction.jordanize_ones(ExactMatrix(field, a22, ncols=m, _canon=False))
+        p2s.append(ones.p.rows)
+        p2invs.append(ones.pinv.rows)
+        lam_ids.append(lams.setdefault(ones.lam, len(lams)))
+    dtype = originals.dtype
+    p2 = np.array(p2s, dtype=dtype).reshape(len(p2s), m, m)[group]
+    p2inv = np.array(p2invs, dtype=dtype).reshape(len(p2s), m, m)[group]
+    lam_id = np.array(lam_ids, dtype=np.intp)[group]
+    w = originals.copy()
+    w[:, :base, base:] = np.matmul(w[:, :base, base:], p2) % p
+    w[:, base:, :base] = np.matmul(p2inv, w[:, base:, :base]) % p
+    t, ti = np.zeros_like(w), np.zeros_like(w)
+    t[:, range(base), range(base)] = ti[:, range(base), range(base)] = 1
+    t[:, base:, base:], ti[:, base:, base:] = p2inv, p2
+    for lam, d in lams.items():
+        sel = np.flatnonzero(lam_id == d)
+        ws, ts, tis = w[sel], t[sel], ti[sel]
+        ws[:, base:, base:] = _jordan_stack(lam, dtype)
+        _reduce_stack(field, split.core, lam, ws, ts, tis)
+        w[sel], t[sel], ti[sel] = ws, ts, tis
+    return lam_id, list(lams), w, t, ti
 
 
 def verify_shapes(
@@ -513,16 +682,15 @@ def verify_shapes(
     Exhaustive mode walks every nilpotent A22 block and crosses it with the
     outer coordinates; sample mode reads the sampled census's stream.  Every
     nilpotent candidate's shape is taken from its batch's rank rows and
-    again through the reduction and shape_of_reduced (stage 0 cached per A22
-    block, its block products batched per A22 block within a slice, stages
-    1-5 on row lists, the formula per reduced matrix, `reduce`'s
-    postconditions checked for a slice of candidates at once); a sample
-    run whose draws held no nilpotent candidate reports `checked: 0` in its
-    details; any disagreement (the lowest
-    20 indices are reported: in exhaustive mode the odometer index, read
-    back from the candidate's free entries, in sample mode the sample
-    index), or any observed shape outside the prediction, yields a mismatch
-    verdict.
+    again through the reduction and shape_of_reduced, a slice of candidates
+    at a time on integer stacks (`_reduce_slice`): `reduce`'s postconditions
+    per slice (`reduction._verify`), the formula once per distinct
+    (lambda, M), and the formula against the rank-row shape once per pair
+    of classes.  A sample run whose draws held no nilpotent candidate
+    reports `checked: 0` in its details.  Any disagreement (the lowest 20
+    indices are reported: in exhaustive mode the odometer index, read back
+    from the candidate's free entries, in sample mode the sample index), or
+    any observed shape outside the prediction, yields a mismatch verdict.
     Exhaustive mode additionally requires every predicted shape to be
     observed.
     """
@@ -553,37 +721,48 @@ def verify_shapes(
     for mats, drawn in stream:
         bits = mats.dtype == np.uint32
         rank_rows = _rank_rows(mats, mu, p, bits)
-        shapes, inverse, _ = _classes(rank_rows, n)
+        shapes, oracle, _ = _classes(rank_rows, n)
         observed.update(shapes)
-        rank_rows, inverse = rank_rows.tolist(), inverse.tolist()
-        stage0: dict = {}  # A22 rows -> stage 0's data
+        stage0: dict = {}  # A22 entries -> stage 0's data
         formulas: dict = {}  # (lambda, reduced rows) -> formula shape
-        for start in range(0, len(rank_rows), _DUAL_CHECK):
-            originals = mats[start : start + _DUAL_CHECK]
+        for start in range(0, mats.shape[0], _DUAL_CHECK):
+            stop = min(start + _DUAL_CHECK, mats.shape[0])
+            originals = mats[start:stop]
             if bits:  # entry (r, c) is bit c of row r
                 column = np.arange(n, dtype=np.uint32)
                 originals = (originals[:, :, None] >> column & np.uint32(1)).astype(np.int64)
             reduced = _reduce_slice(mu, field, originals, stage0)
-            for k, (lam, rows, transform, _) in enumerate(reduced, start):
-                formula = formulas.get((lam, rows))
+            first, inverse = reduction._verify(mu, field, originals, reduced, rank_rows[start:stop])
+            lam_id, lams, ms, ts, _ = reduced
+            classes: dict = {}  # formula shape -> its class
+            formula_class = []
+            for i, rows in zip(first.tolist(), ms[first].tolist()):
+                key = (lams[lam_id[i]], tuple(map(tuple, rows)))
+                formula = formulas.get(key)
                 if formula is None:
                     pair = reduction.ReducedPair(
                         mu_core=split.core,
                         ones=split.ones,
-                        lam=lam,
-                        matrix=ExactMatrix(field, rows, _canon=False),
-                        transform=ExactMatrix(field, transform, _canon=False),
+                        lam=key[0],
+                        matrix=ExactMatrix(field, key[1], _canon=False),
+                        transform=ExactMatrix(field, ts[i].tolist(), _canon=False),
                     )
-                    formula = formulas[lam, rows] = jordan.shape_of_reduced(pair)
-                oracle = shapes[inverse[k]]
-                if formula != oracle:
+                    formula = formulas[key] = jordan.shape_of_reduced(pair)
+                formula_class.append(classes.setdefault(formula, len(classes)))
+            # formula against oracle once per (formula class, oracle class) pair
+            codes = np.array(formula_class, dtype=np.intp)[inverse] * len(shapes) + oracle[start:stop]
+            formula_of = list(classes)
+            for code in set(codes.tolist()):
+                formula, expected = formula_of[code // len(shapes)], shapes[code % len(shapes)]
+                if formula == expected:
+                    continue
+                for k in np.flatnonzero(codes == code).tolist():
                     if drawn is None:
-                        index = _odometer_index(originals[k - start].tolist(), positions, p)
+                        index = _odometer_index(originals[k].tolist(), positions, p)
                     else:
-                        index = int(drawn[k])
-                    pair_doc = dict(oracle=format_partition(oracle), formula=format_partition(formula))
+                        index = int(drawn[start + k])
+                    pair_doc = dict(oracle=format_partition(expected), formula=format_partition(formula))
                     disagreements.append(dict(index=index, **pair_doc))
-            reduction._verify(mu, field, originals, reduced, rank_rows[start : start + len(reduced)])
         disagreements.sort(key=lambda d: d["index"])
         del disagreements[_DISAGREEMENTS:]
 

@@ -37,7 +37,6 @@ __all__ = [
     "reduce",
     "reduce_stages",
     "reduce_rows",
-    "stage0_transforms",
     "is_reduced",
 ]
 
@@ -99,8 +98,17 @@ def _conj_swap(a, t, ti, p: int, q: int) -> None:
 def _conj_scale(field, a, t, ti, p: int, alpha) -> None:
     if alpha == field.one():
         return
-    mul = field.mul
     inv = field.inv(alpha)
+    if field.is_finite:
+        mod = field.order
+        a[p] = [alpha * x % mod for x in a[p]]
+        for row in a:
+            row[p] = inv * row[p] % mod
+        t[p] = [alpha * x % mod for x in t[p]]
+        for row in ti:
+            row[p] = inv * row[p] % mod
+        return
+    mul = field.mul
     a[p] = [mul(alpha, x) for x in a[p]]
     for row in a:
         row[p] = mul(inv, row[p])
@@ -239,8 +247,8 @@ def reduce(a: ExactMatrix, mu: Partition, validate: bool = True, _stage_hook=Non
     base = pattern_layout(mu).base
     pair, tinv = reduce_stages(a, mu, jordanize_ones(a.submatrix(base, n, base, n)), _stage_hook)
     if validate:
-        reduced = (pair.lam, pair.matrix.rows, pair.transform.rows, tinv.rows)
-        _verify(mu, a.field, [a.rows], [reduced], [a.rank_sequence()])
+        reduced = (np.zeros(1, dtype=np.intp), [pair.lam], [pair.matrix.rows], [pair.transform.rows], [tinv.rows])
+        _verify(mu, a.field, [a.rows], reduced, [a.rank_sequence()])
     return pair
 
 
@@ -266,7 +274,11 @@ def reduce_stages(
     a22 = jordan_matrix(lam, f)
     work = [list(r[:base] + x) for r, x in zip(a.rows, a12.rows)]
     work += [list(y + z) for y, z in zip(a21.rows, a22.rows)]
-    tw, ti = stage0_transforms(f, base, ones)
+    # T = diag(I, P^-1) and T^-1 = diag(I, P), stage 0's transform and its inverse
+    zero, one = f.zero(), f.one()
+    top = [[one if i == j else zero for j in range(n)] for i in range(base)]
+    tw = top + [[zero] * base + list(r) for r in p2inv.rows]
+    ti = [list(r) for r in top] + [[zero] * base + list(r) for r in p2.rows]
     reduce_rows(f, split.core, lam, work, tw, ti, _stage_hook)
 
     matrix = ExactMatrix(f, work, _canon=False)
@@ -275,20 +287,12 @@ def reduce_stages(
     return pair, ExactMatrix(f, ti, _canon=False)
 
 
-def stage0_transforms(f: FieldSpec, base: int, ones: OnesJordan) -> tuple[list[list], list[list]]:
-    """Rows of T = diag(I, P^-1) and T^-1 = diag(I, P), stage 0's transform and its inverse."""
-    zero, one = f.zero(), f.one()
-    top = [[one if i == j else zero for j in range(base + len(ones.p.rows))] for i in range(base)]
-    tw = top + [[zero] * base + list(r) for r in ones.pinv.rows]
-    ti = [list(r) for r in top] + [[zero] * base + list(r) for r in ones.p.rows]
-    return tw, ti
-
-
 def reduce_rows(f: FieldSpec, core: Partition, lam: Partition, work, tw, ti, _stage_hook=None) -> None:
     """Stages 1-5 of `reduce` on row lists, in place.
 
     work is the matrix after stage 0 (A22 == J_lambda), tw and ti the rows
     of the transform and its inverse so far; every move updates all three.
+    `census._reduce_stack` is its batched twin over stacks of matrices.
     """
     k, l = len(core), len(lam)
     zero, one = f.zero(), f.one()
@@ -405,36 +409,70 @@ def reduce_rows(f: FieldSpec, core: Partition, lam: Partition, work, tw, ti, _st
     _stage("echelon-y")
 
 
-def _verify(mu: Partition, f: FieldSpec, originals, reduced: list[tuple], rank_rows: list[list[int]]) -> None:
+def _verify(mu: Partition, f: FieldSpec, originals, reduced: tuple, rank_rows) -> tuple[np.ndarray, np.ndarray]:
     """The postconditions of a stack of reductions of annihilating-form matrices for mu.
 
     originals holds the matrices a, as row lists or, over GF(p), as an
-    integer stack (B, n, n); reduced holds each member's (lambda, M, T, T^-1)
-    as rows, M's a tuple of row tuples (it is a key).  For each member:
-    T * T^-1 == I and T * a == M * T (so T * a * T^-1 == M), both taken for
-    the whole stack at once; M is in reduced form, and its rank sequence
-    equals the member's rank row (zero-padded or not), both taken once per
-    distinct (lambda, M).
+    integer stack (B, n, n); reduced is (lam_id, lams, M, T, T^-1), member i
+    with lambda lams[lam_id[i]], and M, T, T^-1 as lists of row lists or
+    stacks like originals; rank_rows holds each member's rank row (B, q),
+    zero-padded or not.  For each member: T * T^-1 == I and T * a == M * T
+    (so T * a * T^-1 == M), both taken for the whole stack at once; M is in
+    reduced form, taken once per distinct (lambda, M), and its rank
+    sequence, taken as often, equals the member's rank row, compared for
+    the whole stack at once.  Returns (first, inverse): the first member of
+    each distinct (lambda, M) and each member's distinct pair.
     """
-    checked: dict = {}
-    for (lam, rows, _, _), ranks in zip(reduced, rank_rows):
-        seq = checked.get((lam, rows))
-        if seq is None:
-            matrix = ExactMatrix(f, rows, _canon=False)
-            if not is_reduced(matrix, mu, lam):
-                raise ReductionError("pipeline output is not in reduced form")
-            seq = checked[lam, rows] = matrix.rank_sequence()
-        if seq + [0] * (len(ranks) - len(seq)) != list(ranks):
-            raise ReductionError("rank sequence changed during reduction")
+    lam_id, lams, ms, ts, tis = reduced
     a, da = _integer_stack(f, originals)
-    m, dm = _integer_stack(f, [r[1] for r in reduced])
-    t, dt = _integer_stack(f, [r[2] for r in reduced])
-    ti, dti = _integer_stack(f, [r[3] for r in reduced])
+    m, dm = _integer_stack(f, ms)
+    t, dt = _integer_stack(f, ts)
+    ti, dti = _integer_stack(f, tis)
+    b = m.shape[0]
+    key = [np.reshape(lam_id, (b, 1)), m.reshape(b, -1)]
+    if not f.is_finite:  # M[i] is m[i] / dm[i]
+        key.insert(1, dm.reshape(b, 1))
+    first, inverse = _unique_rows(np.concatenate(key, axis=1))
+    ranks = np.asarray(rank_rows)
+    seqs = np.zeros((len(first), ranks.shape[1]), dtype=ranks.dtype)
+    rows = ms[first].tolist() if isinstance(ms, np.ndarray) else [ms[i] for i in first.tolist()]
+    for d, (i, x) in enumerate(zip(first.tolist(), rows)):
+        matrix = ExactMatrix(f, x, _canon=False)
+        if not is_reduced(matrix, mu, lams[lam_id[i]]):
+            raise ReductionError("pipeline output is not in reduced form")
+        seq = matrix.rank_sequence()
+        if len(seq) > ranks.shape[1]:
+            raise ReductionError("rank sequence changed during reduction")
+        seqs[d, : len(seq)] = seq
+    if not np.array_equal(seqs[inverse], ranks):
+        raise ReductionError("rank sequence changed during reduction")
     eye = np.eye(t.shape[1], dtype=t.dtype)
     if not _equal_mod(f, np.matmul(t, ti), dt * dti * eye):
         raise ReductionError("accumulated inverse transform is wrong")
     if not _equal_mod(f, dm * np.matmul(t, a), da * np.matmul(m, t)):
         raise ReductionError("conjugation relation transform*a*transform^-1 failed")
+    return first, inverse
+
+
+def _unique_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, inverse) of a 2-D array's rows: the first row with each distinct value, each row's value number.
+
+    Integer rows go through np.unique as one opaque byte string each (much
+    cheaper than np.unique over rows, which sorts field by field); object
+    rows (Python ints, Fractions) and empty rows are keyed as tuples,
+    numbered in order of first appearance.  A single row (`reduce`'s stack
+    of one) needs neither.
+    """
+    if len(x) == 1:
+        return np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp)
+    if x.dtype != object and x.shape[1]:
+        x = np.ascontiguousarray(x)
+        rows = x.view(np.dtype((np.void, x.dtype.itemsize * x.shape[1]))).reshape(-1)
+        _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+        return first, inverse
+    ids: dict = {}
+    inverse = np.array([ids.setdefault(r, len(ids)) for r in map(tuple, x.tolist())], dtype=np.intp)
+    return np.unique(inverse, return_index=True)[1], inverse
 
 
 def _integer_stack(f: FieldSpec, mats) -> tuple[np.ndarray, object]:

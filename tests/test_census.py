@@ -323,26 +323,24 @@ def test_verify_sample_disagreements_carry_sample_indices(monkeypatch):
 
 @pytest.mark.parametrize("mode", ["exhaustive", "sample"])
 def test_verify_reduces_every_nilpotent_candidate(monkeypatch, mode):
-    # every nilpotent candidate is dual-checked: one run of stages 1-5 on
-    # its rows each, in several batches and check slices, over bit rows,
-    # int64 and Python ints
-    import nilpairs.reduction as reduction
-
+    # every nilpotent candidate is dual-checked: it is a member of exactly one
+    # stack of the batched stages 1-5, in several batches and check slices,
+    # over bit rows, int64 and Python ints
     monkeypatch.setattr(census, "_BATCH", 64)
     monkeypatch.setattr(census, "_INT64_CELLS", 64 * 9)
     monkeypatch.setattr(census, "_OBJECT_CELLS", 16 * 9)
     monkeypatch.setattr(census, "_DUAL_CHECK", 5)
-    calls = []
-    real = reduction.reduce_rows
+    members = []
+    real = census._reduce_stack
 
-    def counting(f, core, lam, work, *args, **kwargs):
-        calls.append(work)
-        return real(f, core, lam, work, *args, **kwargs)
+    def counting(field, core, lam, w, t, ti):
+        members.append(w.shape[0])
+        return real(field, core, lam, w, t, ti)
 
-    monkeypatch.setattr(reduction, "reduce_rows", counting)
+    monkeypatch.setattr(census, "_reduce_stack", counting)
     for text, field in (("2,1,1", GF2), ("2,1", GF(5)), ("2,2,1", GF3), ("2,2", GF(2**31 - 1))):
         mu = parse_partition(text)
-        calls.clear()
+        members.clear()
         if mode == "exhaustive":
             if candidate_count(mu, field) > 2**12:
                 continue
@@ -351,57 +349,73 @@ def test_verify_reduces_every_nilpotent_candidate(monkeypatch, mode):
         else:
             expected = sampled_shape_census(mu, field, 200, seed=6)[1]
             rep = verify_shapes(mu, field, mode="sample", samples=200, seed=6)
-        assert rep.ok and len(calls) == expected > 0, (text, field.name)
+        assert rep.ok and sum(members) == expected > 0, (text, field.name)
+
+
+_EQUIVALENCE_CASES = [  # mu, field, mode, sampled draws, check slice size
+    ("2,1,1", GF2, "exhaustive", 0, 3),
+    ("2,2", GF2, "exhaustive", 0, 3),
+    ("2,1", GF(5), "exhaustive", 0, 3),
+    ("2,2,1", GF3, "exhaustive", 0, 3),
+    ("3,1,1", GF3, "exhaustive", 0, 500),
+    ("2,2", GF(2**31 - 1), "sample", 60, 3),
+    ("2,2,1", GF(5), "sample", 1500, 100),
+    ("2,2,1,1", GF2, "sample", 800, 100),
+    ("3,2,1,1", GF2, "sample", 800, 100),
+    ("2,1,1,1", GF2, "exhaustive", 0, 500),
+    ("2", GF(10007), "sample", 400, 100),
+]
 
 
 @pytest.mark.parametrize(
-    "text, field, mode",
-    [
-        ("2,1,1", GF2, "exhaustive"),
-        ("2,2", GF2, "exhaustive"),
-        ("2,1", GF(5), "exhaustive"),
-        ("2,2,1", GF3, "exhaustive"),
-        ("2,2", GF(2**31 - 1), "sample"),
-    ],
-    ids=lambda v: getattr(v, "name", v),
+    "text, field, mode, samples, check",
+    [pytest.param(*case, id=f"{case[0]}-{case[1].name}-{case[2]}") for case in _EQUIVALENCE_CASES],
 )
-def test_batched_reduction_matches_per_matrix(monkeypatch, text, field, mode):
-    # verify's batched stage 0 and list-level stages 1-5 give every nilpotent
-    # candidate the (lambda, M, T, T^-1) of the per-matrix reduce_stages, over
-    # bit rows, int64 and Python ints, m = 0 included; check slices are
+def test_batched_reduction_matches_per_matrix(monkeypatch, text, field, mode, samples, check):
+    # verify's batched stage 0 and stages 1-5 give every nilpotent candidate
+    # the (lambda, M, T, T^-1) of the per-matrix reduce_stages, over bit rows,
+    # int64 and Python ints, m = 0 included.  With check = 3 the slices are
     # tiny, so the candidates of one A22 block span several slices and some
     # slices hold two blocks; the int64 and Python-int batches are tiny too,
-    # and one bit-row batch holds all four blocks of 2,1,1/GF(2)
+    # and one bit-row batch holds all four blocks of 2,1,1/GF(2).  The larger
+    # slices mix members that take different moves in one stack: stage 3's
+    # swaps, scales and dependent columns (with the junk clear of 2,1,1,1),
+    # stage 4's runs of two and three equal parts (only a run of three can
+    # take a 3-cycle: lambda = 1,1,1 and X = (0, 0, 1) in 2,1,1,1), stage 5's
+    # swaps and scales (2,2,1/GF(5)) and m = 0 (2/GF(10007))
     import nilpairs.reduction as reduction
 
     monkeypatch.setattr(census, "_BATCH", 128)
-    monkeypatch.setattr(census, "_INT64_CELLS", 16 * 25)
+    monkeypatch.setattr(census, "_INT64_CELLS", 16 * 25 if check == 3 else 2**20)
     monkeypatch.setattr(census, "_OBJECT_CELLS", 16 * 25)
-    monkeypatch.setattr(census, "_DUAL_CHECK", 3)
+    monkeypatch.setattr(census, "_DUAL_CHECK", check)
     seen, blocks = [], []
     real = reduction._verify
 
     def capture(mu, f, originals, reduced, rank_rows):
-        seen.extend(zip(originals.tolist(), reduced))
+        lam_id, lams, ms, ts, tis = reduced
+        lam_of = [lams[i] for i in lam_id.tolist()]
+        seen.extend(zip(originals.tolist(), lam_of, ms.tolist(), ts.tolist(), tis.tolist()))
         blocks.append({str(a[n - m :, n - m :].tolist()) for a in originals})
         return real(mu, f, originals, reduced, rank_rows)
 
     monkeypatch.setattr(reduction, "_verify", capture)
     mu = parse_partition(text)
     n, m = mu.n, split_core(mu).ones
-    assert verify_shapes(mu, field, mode=mode, samples=60, seed=2).ok
+    assert verify_shapes(mu, field, mode=mode, samples=samples, seed=2).ok
     if mode == "exhaustive":
         expected = field.order ** (len(free_coordinates(mu)) - m)
-        assert len({str(rows) for rows, _ in seen}) == expected
-        assert m == 0 or any(b & c for b, c in zip(blocks, blocks[1:])), "no A22 block spans two slices"
-        assert m < 2 or any(len(b) > 1 for b in blocks), "no slice holds two A22 blocks"
+        assert len({str(rows) for rows, *_ in seen}) == expected
+        if check == 3:
+            assert m == 0 or any(b & c for b, c in zip(blocks, blocks[1:])), "no A22 block spans two slices"
+            assert m < 2 or any(len(b) > 1 for b in blocks), "no slice holds two A22 blocks"
     else:
-        expected = sampled_shape_census(mu, field, 60, seed=2)[1]
+        expected = sampled_shape_census(mu, field, samples, seed=2)[1]
     assert len(seen) == expected > 0
-    for rows, (lam, mat, t, ti) in seen:
+    for rows, lam, mat, t, ti in seen:
         a = ExactMatrix(field, rows)
         pair, tinv = reduction.reduce_stages(a, mu, reduction.jordanize_ones(a.submatrix(n - m, n, n - m, n)))
-        assert (lam, mat) == (pair.lam, pair.matrix.rows), rows
+        assert (lam, tuple(map(tuple, mat))) == (pair.lam, pair.matrix.rows), rows
         assert (t, ti) == (pair.transform.tolists(), tinv.tolists()), rows
 
 
@@ -420,8 +434,11 @@ def _one_stage0_for_all(monkeypatch):
 
 
 def _one_a22_key(monkeypatch):
-    """Key every candidate's stage 0 by the same (wrong) key."""
-    monkeypatch.setattr(census, "_a22_key", lambda rows, base: ())
+    """Put every candidate of a slice in one A22 group (the first candidate's)."""
+    def one_group(stack, base):
+        return np.zeros(1, dtype=np.intp), np.zeros(len(stack), dtype=np.intp)
+
+    monkeypatch.setattr(census, "_a22_groups", one_group)
 
 
 @pytest.mark.parametrize("plant", [_one_stage0_for_all, _one_a22_key])

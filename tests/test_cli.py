@@ -222,6 +222,17 @@ def test_verify_budget_guard(capsys):
     assert json.loads(out)["kind"] == "usage"
 
 
+@pytest.mark.parametrize("budget", [10**32, 10**39])
+def test_verify_budget_past_the_odometer_is_usage_error(capsys, budget):
+    # 2,1 over GF(2^31 - 1) has p^4 > 2^63 candidates, more than an int64
+    # odometer index reaches, so a budget that admits them is refused anyway
+    code, out = run_cli(capsys, "verify", "--mu", "2,1", "--field", "gf:2147483647", "--budget", str(budget))
+    assert code == 2
+    doc = json.loads(out)  # one JSON document, no traceback
+    assert doc["kind"] == "usage" and "budget" in doc["error"]
+    assert capsys.readouterr().err == ""
+
+
 def test_roundtrip_cli(capsys):
     code, out = run_cli(capsys, "roundtrip", "--mu", "3,3,2,1^8", "--nu", "5,3,3,3,1,1")
     assert code == 0

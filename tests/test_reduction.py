@@ -134,8 +134,9 @@ def test_reduce_preconditions():
 
 @pytest.mark.parametrize("field", [GF2, GF(5), GF(2**61 - 1), QQ])
 def test_verify_checks_each_member_of_a_stack(field):
-    # the postconditions of a stack: zero-padded rank rows are accepted; a
-    # wrong rank row, a member's M or T^-1 from another member are not
+    # the postconditions of a stack: zero-padded rank rows are accepted, and
+    # the distinct (lambda, M) come back with each member's; a wrong rank
+    # row, a member's M or T^-1 from another member are not
     mu = parse_partition("2,2,1,1")
     rnd = random.Random(5)
     originals = []
@@ -148,26 +149,43 @@ def test_verify_checks_each_member_of_a_stack(field):
         originals.append(ExactMatrix(field, rows))
     stages = [reduce_stages(a, mu, jordanize_ones(a.submatrix(4, 6, 4, 6))) for a in originals]
     pairs = [p for p, _ in stages]
-    reduced = [(p.lam, p.matrix.rows, p.transform.rows, t.rows) for p, t in stages]
-    rows = [a.rows for a in originals]
-    ranks = [a.rank_sequence() + [0] * 3 for a in originals]
-    _verify(mu, field, rows, reduced, ranks)
-    assert len({(p.lam, p.matrix.rows) for p in pairs}) > 1
+    lams = sorted({p.lam for p in pairs})
+    lam_id = np.array([lams.index(p.lam) for p in pairs])
+
+    def reduced(order):
+        return (
+            lam_id[order],
+            lams,
+            [pairs[i].matrix.rows for i in order],
+            [pairs[i].transform.rows for i in order],
+            [stages[i][1].rows for i in order],
+        )
+
+    same = list(range(8)) + [0]  # member 8 repeats member 0
+    rows = [originals[i].rows for i in same]
+    ranks = [(originals[i].rank_sequence() + [0] * 8)[:8] for i in same]  # zero-padded to n + 2
+    first, inverse = _verify(mu, field, rows, reduced(same), ranks)
+    assert len({(p.lam, p.matrix.rows) for p in pairs}) == len(first) > 1 and first[inverse[8]] == 0
+    assert [(pairs[i].lam, pairs[i].matrix.rows) for i in first[inverse]] == [
+        (pairs[i].lam, pairs[i].matrix.rows) for i in same
+    ]
     other = next(i for i, p in enumerate(pairs) if p.transform != pairs[0].transform)
-    with pytest.raises(ReductionError, match="rank sequence"):
-        _verify(mu, field, rows, reduced, ranks[:-1] + [[6, 0]])
+    with pytest.raises(ReductionError, match="rank sequence"):  # on a member that is not its pair's first
+        _verify(mu, field, rows, reduced(same), ranks[:-1] + [[6, 0] + [0] * 6])
     with pytest.raises(ReductionError, match="conjugation"):
-        _verify(mu, field, rows, [reduced[other]] + reduced[1:], [ranks[other]] + ranks[1:])
+        _verify(mu, field, rows, reduced([other] + same[1:]), [ranks[other]] + ranks[1:])
     with pytest.raises(ReductionError, match="inverse transform"):
-        wrong = reduced[0][:3] + reduced[other][3:]
-        _verify(mu, field, rows, [wrong] + reduced[1:], ranks)
+        wrong = reduced(same)
+        wrong[4][0] = stages[other][1].rows
+        _verify(mu, field, rows, wrong, ranks)
     if field.is_finite:
-        # the integer stack census passes is checked the same way
+        # the integer stacks census passes are checked the same way
         dtype = object if field.order > 2**31 else np.int64
         stack = np.array(rows, dtype=dtype)
-        _verify(mu, field, stack, reduced, ranks)
+        lam_of, ms, ts, tis = reduced(same)[:1] + tuple(np.array(x, dtype=dtype) for x in reduced(same)[2:])
+        _verify(mu, field, stack, (lam_of, lams, ms, ts, tis), ranks)
         with pytest.raises(ReductionError, match="conjugation"):
-            _verify(mu, field, stack[[other] + list(range(1, 8))], reduced, ranks)
+            _verify(mu, field, stack[[other] + same[1:]], (lam_of, lams, ms, ts, tis), ranks)
 
 
 @pytest.mark.parametrize("field", [GF2, GF3])
