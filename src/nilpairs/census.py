@@ -300,7 +300,12 @@ def _cross_outer(
     outer_positions = [free.positions[f] for f in outer]
     n_outer = p ** len(outer)
     if n_outer > _ODOMETER:
-        raise BudgetExceeded(total, _ODOMETER)
+        raise BudgetExceeded(
+            n_outer,
+            _ODOMETER,
+            f"enumeration needs {n_outer} outer assignments per A22 block, more than the "
+            f"{_ODOMETER} an int64 odometer indexes, whatever the budget",
+        )
     step = _step(n, dtype)
     for kept in blocks:
         size = kept.shape[0] * n_outer

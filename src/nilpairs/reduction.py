@@ -98,17 +98,8 @@ def _conj_swap(a, t, ti, p: int, q: int) -> None:
 def _conj_scale(field, a, t, ti, p: int, alpha) -> None:
     if alpha == field.one():
         return
-    inv = field.inv(alpha)
-    if field.is_finite:
-        mod = field.order
-        a[p] = [alpha * x % mod for x in a[p]]
-        for row in a:
-            row[p] = inv * row[p] % mod
-        t[p] = [alpha * x % mod for x in t[p]]
-        for row in ti:
-            row[p] = inv * row[p] % mod
-        return
     mul = field.mul
+    inv = field.inv(alpha)
     a[p] = [mul(alpha, x) for x in a[p]]
     for row in a:
         row[p] = mul(inv, row[p])
@@ -429,10 +420,13 @@ def _verify(mu: Partition, f: FieldSpec, originals, reduced: tuple, rank_rows) -
     t, dt = _integer_stack(f, ts)
     ti, dti = _integer_stack(f, tis)
     b = m.shape[0]
-    key = [np.reshape(lam_id, (b, 1)), m.reshape(b, -1)]
-    if not f.is_finite:  # M[i] is m[i] / dm[i]
-        key.insert(1, dm.reshape(b, 1))
-    first, inverse = _unique_rows(np.concatenate(key, axis=1))
+    if b == 1:  # `reduce`'s stack of one: nothing to group
+        first = inverse = np.zeros(1, dtype=np.intp)
+    else:
+        key = [np.reshape(lam_id, (b, 1)), m.reshape(b, -1)]
+        if not f.is_finite:  # M[i] is m[i] / dm[i]
+            key.insert(1, dm.reshape(b, 1))
+        first, inverse = _unique_rows(np.concatenate(key, axis=1))
     ranks = np.asarray(rank_rows)
     seqs = np.zeros((len(first), ranks.shape[1]), dtype=ranks.dtype)
     rows = ms[first].tolist() if isinstance(ms, np.ndarray) else [ms[i] for i in first.tolist()]
@@ -460,11 +454,8 @@ def _unique_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Integer rows go through np.unique as one opaque byte string each (much
     cheaper than np.unique over rows, which sorts field by field); object
     rows (Python ints, Fractions) and empty rows are keyed as tuples,
-    numbered in order of first appearance.  A single row (`reduce`'s stack
-    of one) needs neither.
+    numbered in order of first appearance.
     """
-    if len(x) == 1:
-        return np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp)
     if x.dtype != object and x.shape[1]:
         x = np.ascontiguousarray(x)
         rows = x.view(np.dtype((np.void, x.dtype.itemsize * x.shape[1]))).reshape(-1)
@@ -535,17 +526,10 @@ def is_reduced(a: ExactMatrix, mu: Partition, lam: Partition) -> bool:
         return False
 
     # prefix-rank conditions per run of equal lambda parts
+    # (e1[j] is the rank of the first j columns): the run's first i columns
+    # are pivots and the rest depend on earlier columns, for some i
     for j0, j1 in equal_runs(lam):
-        s = j1 - j0
-        t1 = j0 + 1  # 1-based index of the first run column
-        ok = False
-        for i in range(0, s + 1):
-            if t1 + i > l:
-                break
-            if e1[t1 + i] == e1[t1] + i and e1[t1 + s - 1] == e1[t1 + i]:
-                ok = True
-                break
-        if not ok:
+        if not any(e1[j0 + i] == e1[j0] + i and e1[j1] == e1[j0 + i] for i in range(j1 - j0 + 1)):
             return False
 
     # A21 supported on corner grid only, corner matrix in column echelon form

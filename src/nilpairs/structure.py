@@ -43,8 +43,8 @@ DEFAULT_BUDGET = 2**24
 class BudgetExceeded(RuntimeError):
     """Enumeration would exceed the configured candidate budget."""
 
-    def __init__(self, required: int, budget: int):
-        super().__init__(f"enumeration needs {required} candidates, budget is {budget}")
+    def __init__(self, required: int, budget: int, message: str | None = None):
+        super().__init__(message or f"enumeration needs {required} candidates, budget is {budget}")
         self.required = required
         self.budget = budget
 

@@ -310,6 +310,16 @@ def test_is_reduced_rejects_split_pivot_run():
     assert is_reduced(ExactMatrix(QQ, rows), mu, lam)
 
 
+@pytest.mark.parametrize("x, ok", [((1, 0, 0), True), ((0, 0, 0), True), ((0, 1, 0), False), ((0, 0, 1), False)])
+def test_is_reduced_wants_the_run_pivot_first(x, ok):
+    # mu = 2,1,1,1 and lambda = 1,1,1: X is one run of three equal parts,
+    # and reduce puts its pivot column first
+    mu = parse_partition("2,1,1,1")
+    rows = [[0] * 5 for _ in range(5)]
+    rows[0][2:] = x
+    assert is_reduced(ExactMatrix(GF2, rows), mu, Partition([1, 1, 1])) is ok
+
+
 def test_reduce_random_invariants_gf5():
     from nilpairs.fields import GF
 
