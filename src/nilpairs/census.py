@@ -8,23 +8,27 @@ onto those over P A22 P^-1.  So the exhaustive census fixes A22 to one
 J_lambda per orbit (lambda a partition of m), crosses it with every
 assignment of the outer free coordinates and weights the shapes by the orbit
 size |GL_m(p)| / |C(J_lambda)|: p(m) p^(F - m^2) matrices stand for the
-p^(F - m) nilpotent candidates of the p^F.  `verify_shapes` checks every
-nilpotent candidate, so its exhaustive stream walks the A22 blocks in chunks
-and crosses the nilpotent ones the same way; a candidate's free entries are
-its odometer digits, so it carries its own index.  The sampled stream, read
-by the sampled census and `verify_shapes`, keeps the draws whose A22 is
-nilpotent, each with its sample index.  A batch holds uint32 bit rows over
-GF(2) up to n = 32, else int64 matrices (GF(2) mod 2 beyond), else, once
-n x n products could pass 2^62, Python ints.  Shapes come from the ranks of
-successive powers, taken on the K x K corner at the free rows and columns
-(K = k + m, the parts of mu): `_rank_rows` multiplies a corner's power by its
-ones rows only and ranks it with `_gf2_ranks` or `_gfp_ranks`; the rank rows
-are converted to shapes once per distinct row.  `verify_shapes` also takes
-every candidate's shape through the reduction and `shape_of_reduced` and
-demands agreement.  It reduces a slice of candidates at a time as integer
-stacks (`_reduce_slice`): stage 0 of `reduce` once per distinct A22 block
-in a batch, its block products as one batched product, and stages 1-5 once
-per lambda as masked batched moves on the members' stacks
+p^(F - m) nilpotent candidates of the p^F; the census's budget bounds the
+matrices it builds.  `verify_shapes` checks every nilpotent candidate, so
+its exhaustive stream walks the A22 blocks in chunks and crosses the
+nilpotent ones the same way; a candidate's free entries are its odometer
+digits, so it carries its own index.  The sampled stream, read by the
+sampled census and `verify_shapes`, keeps the draws whose A22 is nilpotent,
+each with its sample index.  A candidate is zero outside the K x K corner at
+its free rows and columns (K = k + m, the parts of mu), and its free
+coordinates are that corner in row-major order, so every stream yields
+stacks of corners, A22 at [k:, k:].  A batch holds uint32 bit rows over
+GF(2) while K <= 32, else int64 corners (GF(2) mod 2 beyond), else, once
+K-wide products could pass 2^62, Python ints.  Shapes come from the ranks
+of successive powers, taken on the corner: `_rank_rows` multiplies a
+corner's power by its ones rows only and ranks it with `_gf2_ranks` or
+`_gfp_ranks`; the rank rows are converted to shapes once per distinct row.
+`verify_shapes` also takes every candidate's shape through the reduction
+and `shape_of_reduced` and demands agreement.  It places a slice of corners
+at a time in n x n integer stacks, the only n x n candidates built, and
+reduces them (`_reduce_slice`): stage 0 of `reduce` once per distinct A22
+block in a batch, its block products as one batched product, and stages
+1-5 once per lambda as masked batched moves on the members' stacks
 (`_reduce_stack`, the twin of the per-matrix `reduction.reduce_rows` that
 `reduce` runs).  `reduce`'s postconditions and the formula then run on the
 stacks, once per distinct (lambda, M) where they need M, and once per
@@ -42,6 +46,7 @@ import numpy as np
 from .fields import FieldSpec
 from .matrix import ExactMatrix, _np_safe
 from .jordan import InternalInconsistency
+from .reduction import _unique_rows
 from .partitions import (
     Partition,
     canonical_sorted,
@@ -52,7 +57,7 @@ from .partitions import (
     offsets,
     split_core,
 )
-from .structure import DEFAULT_BUDGET, BudgetExceeded, candidate_count, corner_layout, free_coordinates, pattern_layout
+from .structure import DEFAULT_BUDGET, BudgetExceeded, candidate_count, corner_layout, pattern_layout
 
 __all__ = [
     "VerifyReport",
@@ -62,23 +67,18 @@ __all__ = [
 ]
 
 _BATCH = 1 << 18
-_GF2_BITS = 32  # columns a uint32 bit row holds; wider GF(2) runs on int64 mod 2
-_INT64_CELLS = 1 << 24  # matrix entries per int64 batch, so memory stays bounded
+_GF2_BITS = 32  # columns a uint32 bit row holds; wider GF(2) corners run on int64 mod 2
+_INT64_CELLS = 1 << 24  # matrix entries per batch, so memory stays bounded
 _OBJECT_CELLS = 1 << 18  # the same for batches of Python ints, one object per entry
 _DISAGREEMENTS = 20  # shape disagreements a verify report lists, lowest index first
 _DUAL_CHECK = 1 << 12  # reductions held for one batched postcondition check
 _ODOMETER = 2**63 - 1  # entries an int64 odometer index can reach
 
 
-def _int64_batch(n: int, cap: int, dtype=np.int64) -> int:
-    """Matrices per batch of int64 (or, with dtype=object, Python-int) stacks."""
-    cells = _INT64_CELLS if dtype is np.int64 else _OBJECT_CELLS
-    return max(1, min(cap, cells // (n * n)))
-
-
-def _step(n: int, dtype) -> int:
-    """Candidates (and A22 blocks) per batch."""
-    return _BATCH if dtype is np.uint32 else _int64_batch(n, _BATCH, dtype)
+def _batch_size(size: int, cap: int, dtype) -> int:
+    """Members per batch of size x size stacks in dtype: at most cap, and a bounded number of entries."""
+    cells = _OBJECT_CELLS if dtype is object else _INT64_CELLS
+    return max(1, min(cap, cells // (size * size)))
 
 
 def _classes(rank_mat: np.ndarray, n: int) -> tuple[list[Partition], np.ndarray, np.ndarray]:
@@ -140,7 +140,7 @@ def _gfp_ranks(mats: np.ndarray, p: int) -> np.ndarray:
     is eliminated with the others, to zero, so it is never picked again; rows
     without an entry in the column are only scaled by the nonzero pivot.
     """
-    work = mats % p
+    work = np.remainder(mats, p, order="F")  # the batch axis innermost: each step reads runs of members
     rank = np.zeros(work.shape[0], dtype=np.int64)
     bidx = np.arange(work.shape[0])
     for c in range(work.shape[2]):
@@ -160,59 +160,46 @@ def _gfp_ranks(mats: np.ndarray, p: int) -> np.ndarray:
 
 # -- batches of candidates ----------------------------------------------------------
 #
-# Stacks of candidates are built from odometer indices (exhaustive) or from
-# drawn values (sampled); `dtype` selects the representation, uint32 bit rows,
-# int64 matrices or Python-int matrices, and every later step is shared.
+# Every stream builds integer stacks of K x K corners, from odometer indices
+# (exhaustive) or drawn values (sampled), and packs them into the batch's
+# representation (`_pack`); every later step is shared.
 
 
-def _dtype(n: int, field: FieldSpec):
-    """uint32 bit rows for GF(2) with n <= 32, else int64 while exact, else Python ints.
+def _dtype(size: int, field: FieldSpec):
+    """uint32 bit rows for GF(2) with size <= 32, else int64 while exact, else Python ints.
 
-    Every product taken is of at most n x n matrices (A22 ones included), so
-    the int64 bound is tied to n.
+    The streams build and multiply K x K corners and their m x m A22 blocks
+    (m <= K), so both the bit width and the int64 bound follow K, not n.
     """
-    if field.order == 2 and n <= _GF2_BITS:
+    if field.order == 2 and size <= _GF2_BITS:
         return np.uint32
-    return np.int64 if _np_safe(field, n) else object
+    return np.int64 if _np_safe(field, size) else object
 
 
-def _a22_split(mu: Partition, positions) -> tuple[int, list[int], list[int], list[tuple[int, int]]]:
-    """(m, free indices outside A22, free indices inside A22, their positions in A22)."""
-    base = pattern_layout(mu).base
-    m = mu.n - base
-    inner = [f for f, (r, c) in enumerate(positions) if r >= base and c >= base]
-    outer = [f for f, (r, c) in enumerate(positions) if r < base or c < base]
-    return m, outer, inner, [(positions[f][0] - base, positions[f][1] - base) for f in inner]
+def _a22_split(mu: Partition) -> tuple[int, int, list[int]]:
+    """(k, K, outer): A22 is the corner's [k:, k:]; outer lists the other corner entries, row-major, flat."""
+    lay = pattern_layout(mu)
+    k, size = lay.k, len(lay.free_cols)
+    return k, size, [f for f in range(size * size) if min(divmod(f, size)) < k]
 
 
-def _stack(vals: np.ndarray, positions, n: int, dtype) -> np.ndarray:
-    """B matrices of size n x n with the values vals[f] (shape (F, B)) at positions[f]."""
-    b = vals.shape[1]
-    if dtype is np.uint32:
-        rows = np.zeros((b, n), dtype=np.uint32)
-        for f, (r, c) in enumerate(positions):
-            rows[:, r] |= vals[f].astype(np.uint32) << np.uint32(c)
-        return rows
-    mats = np.zeros((b, n, n), dtype=dtype)
-    for f, (r, c) in enumerate(positions):
-        mats[:, r, c] = vals[f]
-    return mats
-
-
-def _index_stack(idx: np.ndarray, positions, n: int, p: int, dtype) -> np.ndarray:
-    """n x n matrices holding the odometer digits of each index at `positions`.
-
-    The first position takes the most significant digit.
-    """
-    last = len(positions) - 1
-    dt = np.int32 if p ** (last + 1) <= 2**31 else np.int64  # int32 divides about twice as fast
-    digits = np.zeros((last + 1, idx.shape[0]), dtype=dt)
+def _digits(idx: np.ndarray, count: int, p: int) -> np.ndarray:
+    """(count, B) odometer digits of each index, the first most significant."""
+    dt = np.int32 if p**count <= 2**31 else np.int64  # int32 divides about twice as fast
+    digits = np.zeros((count, idx.shape[0]), dtype=dt)
     rem = idx.astype(dt)
-    for f in range(last, -1, -1):
+    for f in range(count - 1, -1, -1):
         quot = rem // p  # numpy divides by a scalar faster than it takes %
         digits[f] = rem - quot * p
         rem = quot
-    return _stack(digits, positions, n, dtype)
+    return digits
+
+
+def _pack(corners: np.ndarray, dtype) -> np.ndarray:
+    """An integer stack (B, s, s) in dtype; for np.uint32, bit rows (B, s) with bit j for column j."""
+    if dtype is np.uint32:
+        return (corners @ (1 << np.arange(corners.shape[2], dtype=np.int64))).astype(np.uint32)
+    return corners.astype(dtype, copy=False)
 
 
 def _nilpotent_mask(mats: np.ndarray, n: int, p: int, bits: bool) -> np.ndarray:
@@ -223,30 +210,22 @@ def _nilpotent_mask(mats: np.ndarray, n: int, p: int, bits: bool) -> np.ndarray:
     return ~power.any(axis=1 if bits else (1, 2))
 
 
-def _rank_rows(mats: np.ndarray, mu: Partition, p: int, bits: bool) -> np.ndarray:
+def _rank_rows(corners: np.ndarray, mu: Partition, p: int, bits: bool) -> np.ndarray:
     """Rank rows (B, q) of the powers of nilpotent annihilating-form candidates for mu, zero-padded.
 
     A candidate is A = E B F^T, with E and F the unit columns at the K free rows
-    and columns and B the K x K corner.  F^T E = diag(0_k, I_m), since only a
-    ones block has its first row at its last column, so A^s = E B_s F^T with
-    B_1 = B and B_(s+1) = B_s[:, k:] B[k:, :], and rk(A^s) = rk(B_s) because E
-    and F have independent columns.  Only members whose last power is nonzero
-    are multiplied again.  The streams pass masked nilpotent stacks, so a
-    nonzero A^n is a bug and raises.
+    and columns and B the K x K corner the batch holds.  F^T E = diag(0_k, I_m),
+    since only a ones block has its first row at its last column, so
+    A^s = E B_s F^T with B_1 = B and B_(s+1) = B_s[:, k:] B[k:, :], and
+    rk(A^s) = rk(B_s) because E and F have independent columns.  Only
+    members whose last power is nonzero are multiplied again.  The streams
+    pass masked nilpotent stacks, so a nonzero A^n is a bug and raises.
     """
-    lay = pattern_layout(mu)
-    n, k, width = mu.n, lay.k, len(lay.free_cols)
+    n, k, width = mu.n, pattern_layout(mu).k, corners.shape[1]
     ones = np.uint32((1 << width) - (1 << k))  # bit mask of the ones columns k..K-1
-    rows = mats[:, list(lay.free_rows)]
-    if bits:  # bit j of a corner row is bit free_cols[j]; the ones columns base.. are one run
-        corner = rows >> np.uint32(lay.base - k) & ones
-        for j in range(k):
-            corner |= (rows >> np.uint32(lay.free_cols[j]) & np.uint32(1)) << np.uint32(j)
-    else:
-        corner = rows[:, :, list(lay.free_cols)]
-    b = mats.shape[0]
+    b = corners.shape[0]
     ranks = [np.full(b, n, dtype=np.int64)]
-    alive, power = np.flatnonzero(ranks[0]), corner  # members whose last power is nonzero
+    alive, power = np.flatnonzero(ranks[0]), corners  # members whose last power is nonzero
     for _ in range(n):
         r = np.zeros(b, dtype=np.int64)
         r[alive] = _gf2_ranks(power, width) if bits else _gfp_ranks(power, p)
@@ -256,9 +235,9 @@ def _rank_rows(mats: np.ndarray, mu: Partition, p: int, bits: bool) -> np.ndarra
         if not alive.size:
             break
         if bits:
-            power = _gf2_matmul(power & ones, corner[alive], width)
+            power = _gf2_matmul(power & ones, corners[alive], width)
         else:
-            power = np.matmul(power[:, :, k:], corner[alive][:, k:, :]) % p
+            power = np.matmul(power[:, :, k:], corners[alive][:, k:, :]) % p
     if alive.size:
         raise InternalInconsistency(f"{alive.size} of {b} candidates have a nonzero power A^{n}; not nilpotent")
     return np.stack(ranks, axis=1)
@@ -276,28 +255,18 @@ def _add_shape_counts(
 # -- the candidate streams ------------------------------------------------------------
 
 
-def _cross_outer(
-    mu: Partition, field: FieldSpec, budget: int, blocks: Iterable[np.ndarray]
-) -> Iterator[np.ndarray]:
-    """Batches of candidates: each A22 block in `blocks` crossed with every outer assignment.
+def _cross_outer(mu: Partition, field: FieldSpec, blocks: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
+    """Batches of corners: each A22 block in `blocks` crossed with every outer assignment.
 
-    `blocks` yields stacks of nilpotent m x m blocks in the batches'
-    representation.  For each block in turn the outer free coordinates run
-    as an odometer, the first most significant.  The budget is checked on
-    all p^F candidates, whatever `blocks` holds.  The odometer's indices are
-    int64, so more than 2^63 - 1 outer assignments are refused whatever the
-    budget, before any array is built.
+    `blocks` yields integer stacks of nilpotent m x m blocks.  For each block
+    in turn the outer free coordinates run as an odometer, the first most
+    significant.  The odometer's indices are int64, so more than 2^63 - 1
+    outer assignments are refused whatever the budget, before any array is
+    built; the callers check their budgets.
     """
-    total = candidate_count(mu, field)
-    if total > budget:
-        raise BudgetExceeded(total, budget)
-    free = free_coordinates(mu)
-    n = mu.n
     p = field.order
-    dtype = _dtype(n, field)
-    m, outer, _, _ = _a22_split(mu, free.positions)
-    base = n - m
-    outer_positions = [free.positions[f] for f in outer]
+    k, size, outer = _a22_split(mu)
+    dtype = _dtype(size, field)
     n_outer = p ** len(outer)
     if n_outer > _ODOMETER:
         raise BudgetExceeded(
@@ -306,40 +275,43 @@ def _cross_outer(
             f"enumeration needs {n_outer} outer assignments per A22 block, more than the "
             f"{_ODOMETER} an int64 odometer indexes, whatever the budget",
         )
-    step = _step(n, dtype)
+    step = _batch_size(size, _BATCH, dtype)
     for kept in blocks:
-        size = kept.shape[0] * n_outer
-        for start in range(0, size, step):
-            j = np.arange(start, min(start + step, size), dtype=np.int64)
-            mats = _index_stack(j % n_outer, outer_positions, n, p, dtype)
-            if dtype is np.uint32:
-                mats[:, base:] |= kept[j // n_outer] << np.uint32(base)
-            else:
-                mats[:, base:, base:] = kept[j // n_outer]
-            yield mats
+        total = kept.shape[0] * n_outer
+        for start in range(0, total, step):
+            j = np.arange(start, min(start + step, total), dtype=np.int64)
+            corners = np.zeros((size * size, j.shape[0]), dtype=np.int64)
+            corners[outer] = _digits(j % n_outer, len(outer), p)
+            corners = corners.T.reshape(-1, size, size)
+            corners[:, k:, k:] = kept[j // n_outer]
+            yield _pack(corners, dtype)
 
 
 def _nilpotent_a22_walk(mu: Partition, field: FieldSpec) -> Iterator[np.ndarray]:
     """Chunks of the nilpotent A22 blocks, walked as an odometer over all p^(m^2).
 
     Crossed with the outer coordinates (`_cross_outer`), they give every
-    nilpotent candidate, and a candidate's entries at the free coordinates
-    are its odometer digits, so it carries its own index (`_odometer_index`).
+    nilpotent candidate, and a candidate's corner entries are its odometer
+    digits, so it carries its own index (`_odometer_index`).
     """
-    n, p = mu.n, field.order
-    dtype = _dtype(n, field)
-    m, _, inner, local = _a22_split(mu, free_coordinates(mu).positions)
-    n_a22 = p ** len(inner)
-    step = _step(n, dtype)
+    p = field.order
+    k, size, _ = _a22_split(mu)
+    m = size - k
+    dtype = _dtype(size, field)
+    n_a22 = p ** (m * m)
+    step = _batch_size(size, _BATCH, dtype)
     for a0 in range(0, n_a22, step):
-        a22 = _index_stack(np.arange(a0, min(a0 + step, n_a22), dtype=np.int64), local, m, p, dtype)
-        yield a22[_nilpotent_mask(a22, m, p, dtype is np.uint32)]
+        idx = np.arange(a0, min(a0 + step, n_a22), dtype=np.int64)
+        a22 = _digits(idx, m * m, p).T.reshape(idx.shape[0], m, m)
+        yield a22[_nilpotent_mask(_pack(a22, dtype), m, p, dtype is np.uint32)]
 
 
-def _jordan_stack(lam: Partition, dtype) -> np.ndarray:
+def _jordan_stack(lam: Partition) -> np.ndarray:
     """A stack of one m x m block, J_lam: ones on the superdiagonal of each part of lam."""
-    ones = [(off + i, off + i + 1) for off, part in zip(offsets(lam), lam) for i in range(part - 1)]
-    return _stack(np.ones((len(ones), 1), dtype=np.int64), ones, lam.n, dtype)
+    rows = [off + i for off, part in zip(offsets(lam), lam) for i in range(part - 1)]
+    block = np.zeros((1, lam.n, lam.n), dtype=np.int64)
+    block[0, rows, [r + 1 for r in rows]] = 1
+    return block
 
 
 def _gl_order(m: int, q: int) -> int:
@@ -363,37 +335,35 @@ def _orbit_size(lam: Partition, q: int) -> int:
     return _gl_order(lam.n, q) // centralizer
 
 
-def _odometer_index(rows: list[list[int]], positions, p: int) -> int:
-    """Odometer index of an exhaustive candidate: its free entries, the first most significant."""
+def _odometer_index(corner: list[list[int]], p: int) -> int:
+    """Odometer index of an exhaustive candidate: its corner's entries, row-major, the first most significant."""
     index = 0
-    for r, c in positions:
-        index = index * p + rows[r][c]
+    for row in corner:
+        for v in row:
+            index = index * p + v
     return index
 
 
 def _sampled_stream(
     mu: Partition, field: FieldSpec, samples: int, seed: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Batches (candidates, sample index) of the nilpotent draws among `samples`.
+    """Batches (corners, sample index) of the nilpotent draws among `samples`.
 
     Sample i takes splitmix64 stream positions [i*F, (i+1)*F) of `seed`, as
-    oracles.sample_candidate(..., index=i) does.
+    oracles.sample_candidate(..., index=i) does: its corner, row-major.
     """
     from . import rng
 
-    free = free_coordinates(mu)
-    n = mu.n
     p = field.order
-    nf = len(free)
-    dtype = _dtype(n, field)
-    bits = dtype is np.uint32
-    m, _, inner, local = _a22_split(mu, free.positions)
-    step = _BATCH // 4 if bits else _int64_batch(n, _BATCH // 4, dtype)
+    k, size, _ = _a22_split(mu)
+    dtype = _dtype(size, field)
+    step = _batch_size(size, _BATCH // 4, dtype)
     for start in range(0, samples, step):
         stop = min(start + step, samples)
-        vals = rng.values_mod_np(seed, start * nf, (stop - start) * nf, p).reshape(stop - start, nf).T
-        keep = _nilpotent_mask(_stack(vals[inner], local, m, dtype), m, p, bits)
-        yield _stack(vals[:, keep], free.positions, n, dtype), start + np.flatnonzero(keep)
+        corners = rng.values_mod_np(seed, start * size * size, (stop - start) * size * size, p)
+        corners = corners.reshape(stop - start, size, size)
+        keep = _nilpotent_mask(_pack(corners[:, k:, k:], dtype), size - k, p, dtype is np.uint32)
+        yield _pack(corners[keep], dtype), start + np.flatnonzero(keep)
 
 
 # -- public censuses ------------------------------------------------------------------
@@ -405,15 +375,23 @@ def exhaustive_shape_census(
     """Shape -> count over all nilpotent annihilating-form candidates (vectorized).
 
     One J_lambda per GL_m orbit of A22, its shapes weighted by the orbit size.
+    The budget bounds the matrices built, p(m) p^(F - m^2), not the p^F
+    candidates they stand for.
     """
     mu = Partition(mu)
-    n, p = mu.n, field.order
-    dtype = _dtype(n, field)
+    if not field.is_finite:
+        raise ValueError("exhaustive enumeration needs a finite field")
+    p = field.order
+    k, size, outer = _a22_split(mu)
+    lams = enumerate_partitions(size - k)
+    built = len(lams) * p ** len(outer)
+    if built > budget:
+        raise BudgetExceeded(built, budget, f"the census builds {built} matrices, budget is {budget}")
     counts: dict[Partition, int] = {}
-    for lam in enumerate_partitions(n - pattern_layout(mu).base):
+    for lam in lams:
         weight = _orbit_size(lam, p)
-        for mats in _cross_outer(mu, field, budget, [_jordan_stack(lam, dtype)]):
-            _add_shape_counts(counts, mats, mu, p, dtype is np.uint32, weight)
+        for mats in _cross_outer(mu, field, [_jordan_stack(lam)]):
+            _add_shape_counts(counts, mats, mu, p, mats.dtype == np.uint32, weight)
     return counts
 
 
@@ -622,13 +600,6 @@ def _reduce_stack(
         cur += active
 
 
-def _a22_groups(originals: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray]:
-    """(first member of each group, group of each member) of a stack grouped by its A22 block."""
-    from .reduction import _unique_rows
-
-    return _unique_rows(originals[:, base:, base:].reshape(originals.shape[0], -1))
-
-
 def _reduce_slice(mu: Partition, field: FieldSpec, originals: np.ndarray, stage0: dict) -> tuple:
     """(lam_id, lams, M, T, T^-1): `reduce_stages` for each candidate of an integer stack (B, n, n).
 
@@ -644,7 +615,7 @@ def _reduce_slice(mu: Partition, field: FieldSpec, originals: np.ndarray, stage0
     split = split_core(mu)
     m, p = split.ones, field.order
     base = mu.n - m
-    first, group = _a22_groups(originals, base)
+    first, group = _unique_rows(originals[:, base:, base:].reshape(originals.shape[0], -1))
     p2s, p2invs, lam_ids, lams = [], [], [], {}
     for i in first.tolist():
         a22 = originals[i, base:, base:].tolist()
@@ -668,7 +639,7 @@ def _reduce_slice(mu: Partition, field: FieldSpec, originals: np.ndarray, stage0
     for lam, d in lams.items():
         sel = np.flatnonzero(lam_id == d)
         ws, ts, tis = w[sel], t[sel], ti[sel]
-        ws[:, base:, base:] = _jordan_stack(lam, dtype)
+        ws[:, base:, base:] = _jordan_stack(lam)
         _reduce_stack(field, split.core, lam, ws, ts, tis)
         w[sel], t[sel], ti[sel] = ws, ts, tis
     return lam_id, list(lams), w, t, ti
@@ -697,7 +668,9 @@ def verify_shapes(
     from the candidate's free entries, in sample mode the sample index), or
     any observed shape outside the prediction, yields a mismatch verdict.
     Exhaustive mode additionally requires every predicted shape to be
-    observed.
+    observed.  The budget bounds the p^F candidates in exhaustive mode and
+    the draws in sample mode; past it, BudgetExceeded is raised before any
+    candidate is built.
     """
     from . import jordan, reduction
     from .characterize import enumerate_shapes
@@ -713,14 +686,22 @@ def verify_shapes(
 
     n, p = mu.n, field.order
     if mode == "exhaustive":
-        positions = free_coordinates(mu).positions
-        walk = _cross_outer(mu, field, budget, _nilpotent_a22_walk(mu, field))
+        total = candidate_count(mu, field)
+        if total > budget:
+            raise BudgetExceeded(total, budget)
+        walk = _cross_outer(mu, field, _nilpotent_a22_walk(mu, field))
         stream = ((mats, None) for mats in walk)
     elif mode == "sample":
+        if samples > budget:
+            raise BudgetExceeded(samples, budget, f"sampling needs {samples} draws, budget is {budget}")
         stream = _sampled_stream(mu, field, samples, seed)
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
+    lay = pattern_layout(mu)
+    free_rows, free_cols = np.array(lay.free_rows)[:, None], np.array(lay.free_cols)
+    full = np.int64 if _np_safe(field, n) else object  # the dual check's n x n stacks, as `_integer_stack` picks
+    width = _batch_size(n, _DUAL_CHECK, full)
     split = split_core(mu)
     disagreements: list[dict] = []
     for mats, drawn in stream:
@@ -730,12 +711,13 @@ def verify_shapes(
         observed.update(shapes)
         stage0: dict = {}  # A22 entries -> stage 0's data
         formulas: dict = {}  # (lambda, reduced rows) -> formula shape
-        for start in range(0, mats.shape[0], _DUAL_CHECK):
-            stop = min(start + _DUAL_CHECK, mats.shape[0])
-            originals = mats[start:stop]
+        for start in range(0, mats.shape[0], width):
+            stop = min(start + width, mats.shape[0])
+            corners = mats[start:stop]
             if bits:  # entry (r, c) is bit c of row r
-                column = np.arange(n, dtype=np.uint32)
-                originals = (originals[:, :, None] >> column & np.uint32(1)).astype(np.int64)
+                corners = corners[:, :, None] >> np.arange(len(lay.free_cols), dtype=np.uint32) & np.uint32(1)
+            originals = np.zeros((stop - start, n, n), dtype=full)  # E B F^T
+            originals[:, free_rows, free_cols] = corners
             reduced = _reduce_slice(mu, field, originals, stage0)
             first, inverse = reduction._verify(mu, field, originals, reduced, rank_rows[start:stop])
             lam_id, lams, ms, ts, _ = reduced
@@ -763,7 +745,7 @@ def verify_shapes(
                     continue
                 for k in np.flatnonzero(codes == code).tolist():
                     if drawn is None:
-                        index = _odometer_index(originals[k].tolist(), positions, p)
+                        index = _odometer_index(corners[k].tolist(), p)
                     else:
                         index = int(drawn[start + k])
                     pair_doc = dict(oracle=format_partition(expected), formula=format_partition(formula))

@@ -17,7 +17,7 @@ from nilpairs.jordan import InternalInconsistency
 from nilpairs.matrix import ExactMatrix
 from nilpairs.oracles import candidate_at, reference_shape_census, sample_candidate
 from nilpairs.partitions import Partition, enumerate_partitions, format_partition, parse_partition, split_core
-from nilpairs.structure import BudgetExceeded, candidate_count, free_coordinates
+from nilpairs.structure import BudgetExceeded, candidate_count, free_coordinates, pattern_layout
 
 
 def test_vectorized_census_matches_reference():
@@ -94,8 +94,13 @@ def test_census_golden_counts(case):
 
 
 def test_census_budget():
+    # the budget bounds the matrices the census builds: 1^5/GF(2) builds one
+    # J_lambda per partition of 5, 7 matrices, for its 2^20 nilpotent candidates
+    mu = Partition([1] * 5)
     with pytest.raises(BudgetExceeded):
-        exhaustive_shape_census(Partition([1] * 5), GF2, budget=1000)
+        exhaustive_shape_census(mu, GF2, budget=6)
+    counts = exhaustive_shape_census(mu, GF2, budget=7)
+    assert sum(counts.values()) == 2**20 and set(counts) == set(enumerate_shapes(mu))
 
 
 def _stream_census(mu, field, samples, seed):
@@ -115,14 +120,14 @@ def test_sampled_census_matches_stream():
 
 
 def test_sampled_census_matches_stream_gf2_bit_rows():
-    mu = parse_partition("3,2,1,1")  # 0 < m < n: A22 is a 2 x 2 block of a 7 x 7 bit-row matrix
+    mu = parse_partition("3,2,1,1")  # 0 < m < n: A22 is the 2 x 2 block of a 4 x 4 bit-row corner
     counts, nilp = sampled_shape_census(mu, GF2, 600, seed=5)
     assert (counts, nilp) == _stream_census(mu, GF2, 600, 5)
     assert 0 < nilp < 600
 
 
 def test_sampled_census_past_int64_bound_matches_stream():
-    # 4 x 4 products over GF(2^31 - 1) pass 2^62, so the batches hold Python
+    # 2 x 2 corner products over GF(2^31 - 1) pass 2^62, so the batches hold Python
     # ints; (2,2) has m = 0, so every draw is nilpotent
     mu, field = Partition([2, 2]), GF(2**31 - 1)
     for samples in (1, 50):
@@ -173,6 +178,12 @@ def _record_chunks(monkeypatch):
     return sizes
 
 
+def _corner_cap(mu, field):
+    """Members per batch of mu's K x K corners under the caps `_record_chunks` sets."""
+    size = census._a22_split(mu)[1]
+    return census._batch_size(size, 7, census._dtype(size, field))
+
+
 @pytest.mark.parametrize("field", [GF2, GF3, GF(5)], ids=lambda f: f.name)
 def test_chunked_a22_census_matches_reference(monkeypatch, field):
     # caps small enough that each J_lambda's crossing with the outer
@@ -186,7 +197,7 @@ def test_chunked_a22_census_matches_reference(monkeypatch, field):
         sizes["batch"].clear()
         got = exhaustive_shape_census(mu, field)
         assert got == reference_shape_census(mu, field), (text, field.name)
-        cap = 7 if field.order == 2 else census._int64_batch(mu.n, 7)
+        cap = _corner_cap(mu, field)
         m = split_core(mu).ones
         built = len(enumerate_partitions(m)) * field.order ** (len(free_coordinates(mu)) - m * m)
         assert max(sizes["batch"]) <= cap and not sizes["a22"], text
@@ -205,7 +216,7 @@ def test_chunked_a22_verify_walks_every_block(monkeypatch, field):
         sizes["a22"].clear()
         sizes["batch"].clear()
         assert verify_shapes(mu, field).verdict == "equal", (text, field.name)
-        cap = 7 if field.order == 2 else census._int64_batch(mu.n, 7)
+        cap = _corner_cap(mu, field)
         m = split_core(mu).ones
         nilpotent = field.order ** (len(free_coordinates(mu)) - m)
         assert max(sizes["a22"] + sizes["batch"]) <= cap, text
@@ -305,6 +316,16 @@ def test_verify_disagreements_carry_odometer_indices(monkeypatch):
     assert [d["index"] for d in rep.details["shape_disagreements"]] == expected[:20]
 
 
+def test_odometer_index_folds_the_corner_row_major():
+    # the disagreement sets above are closed under transposing the corner, so
+    # they cannot tell a row-major fold from a column-major one; this can
+    mu = parse_partition("2,1")
+    lay = pattern_layout(mu)
+    for i in range(candidate_count(mu, GF3)):
+        rows = candidate_at(mu, GF3, i).rows
+        assert census._odometer_index([[rows[r][c] for c in lay.free_cols] for r in lay.free_rows], 3) == i
+
+
 def test_verify_sample_disagreements_carry_sample_indices(monkeypatch):
     # the sampled twin: the report names the disagreeing draws by sample index
     import nilpairs.jordan as jordan
@@ -376,8 +397,8 @@ def test_batched_reduction_matches_per_matrix(monkeypatch, text, field, mode, sa
     # the (lambda, M, T, T^-1) of the per-matrix reduce_stages, over bit rows,
     # int64 and Python ints, m = 0 included.  With check = 3 the slices are
     # tiny, so the candidates of one A22 block span several slices and some
-    # slices hold two blocks; the int64 and Python-int batches are tiny too,
-    # and one bit-row batch holds all four blocks of 2,1,1/GF(2).  The larger
+    # slices hold two blocks; the batches are tiny too, so each bit-row batch
+    # of 2,1,1/GF(2) holds parts of two of its four blocks.  The larger
     # slices mix members that take different moves in one stack: stage 3's
     # swaps, scales and dependent columns (with the junk clear of 2,1,1,1),
     # stage 4's runs of two and three equal parts (only a run of three can
@@ -410,6 +431,10 @@ def test_batched_reduction_matches_per_matrix(monkeypatch, text, field, mode, sa
             assert m == 0 or any(b & c for b, c in zip(blocks, blocks[1:])), "no A22 block spans two slices"
             assert m < 2 or any(len(b) > 1 for b in blocks), "no slice holds two A22 blocks"
     else:
+        # the dual check reduces the very candidates drawn, in draw order
+        draws = (sample_candidate(mu, field, 2, index=i) for i in range(samples))
+        nilpotent = [c.tolists() for c in draws if c.is_nilpotent()]
+        assert [rows for rows, *_ in seen] == nilpotent
         expected = sampled_shape_census(mu, field, samples, seed=2)[1]
     assert len(seen) == expected > 0
     for rows, lam, mat, t, ti in seen:
@@ -435,10 +460,10 @@ def _one_stage0_for_all(monkeypatch):
 
 def _one_a22_key(monkeypatch):
     """Put every candidate of a slice in one A22 group (the first candidate's)."""
-    def one_group(stack, base):
-        return np.zeros(1, dtype=np.intp), np.zeros(len(stack), dtype=np.intp)
+    def one_group(a22_rows):
+        return np.zeros(1, dtype=np.intp), np.zeros(len(a22_rows), dtype=np.intp)
 
-    monkeypatch.setattr(census, "_a22_groups", one_group)
+    monkeypatch.setattr(census, "_unique_rows", one_group)
 
 
 @pytest.mark.parametrize("plant", [_one_stage0_for_all, _one_a22_key])
@@ -513,13 +538,14 @@ def test_vectorized_census_counts_match_reference():
 
 
 def test_census_gf2_wider_than_a_bit_row(monkeypatch):
-    # n > 32 does not fit a uint32 bit row; (33) has candidates {0, E_(0,32)}
+    # n > 32 columns, but the K x K corners (K <= 3) are bit rows; (33) has
+    # candidates {0, E_(0,32)}
     assert exhaustive_shape_census(Partition([33]), GF2) == {
         Partition([1] * 33): 1,
         Partition([2] + [1] * 31): 1,
     }
-    monkeypatch.setattr(census, "_INT64_CELLS", 100 * 33 * 33)  # 512 candidates in 6 batches
-    for text in ("17,17", "30,1,1", "11,11,11", "62,1"):  # 30,1,1: n = 32, the widest bit row
+    monkeypatch.setattr(census, "_INT64_CELLS", 100 * 3 * 3)  # the 512 candidates of 11,11,11 in 6 batches
+    for text in ("17,17", "30,1,1", "11,11,11", "62,1"):
         mu = parse_partition(text)
         assert exhaustive_shape_census(mu, GF2) == reference_shape_census(mu, GF2), text
     mu = parse_partition("11,11,11")
@@ -561,7 +587,7 @@ def test_batched_rank_routines_match_exact_rank():
 
 def test_rank_rows_raise_on_a_stack_that_is_not_nilpotent():
     # the powers of I_2 never reach zero: the capped loop raises instead of
-    # spinning; under mu = 1^2 every 2 x 2 matrix is of annihilating form
+    # spinning; under mu = 1^2 the corner is the whole 2 x 2 matrix
     ones = Partition([1, 1])
     eye = np.eye(2, dtype=np.int64)[None]
     with pytest.raises(InternalInconsistency):
@@ -573,11 +599,12 @@ def test_rank_rows_raise_on_a_stack_that_is_not_nilpotent():
         census._rank_rows(bits, ones, 2, True)
     nilpotent = np.array([[[0, 1], [0, 0]]], dtype=np.int64)
     assert census._rank_rows(np.concatenate([nilpotent, nilpotent]), ones, 3, False).tolist() == [[2, 1, 0]] * 2
-    # with a core block: 2,1 with A22 = [1] is idempotent, so its powers never vanish either
+    # with a core block: 2,1 with A22 = [1] is idempotent, so its powers never
+    # vanish either; its 2 x 2 corner holds A22 at [1, 1]
     mu = Partition([2, 1])
-    a22 = np.zeros((1, 3, 3), dtype=np.int64)
-    a22[0, 2, 2] = 1
-    bits = np.array([[0, 0, 0b100]], dtype=np.uint32)
+    a22 = np.zeros((1, 2, 2), dtype=np.int64)
+    a22[0, 1, 1] = 1
+    bits = np.array([[0, 0b10]], dtype=np.uint32)
     for mats, p, is_bits in ((a22, 3, False), (a22.astype(object), 3, False), (bits, 2, True)):
         with pytest.raises(InternalInconsistency):
             census._rank_rows(mats, mu, p, is_bits)
@@ -592,27 +619,31 @@ def _nilpotent_batches(mu, field):
     the first batches of the J_lambda crossings; then the nilpotent seeded draws."""
     count = candidate_count(mu, field)
     if count <= 2**12:
-        yield from census._cross_outer(mu, field, count, census._nilpotent_a22_walk(mu, field))
+        yield from census._cross_outer(mu, field, census._nilpotent_a22_walk(mu, field))
     else:
-        dtype = census._dtype(mu.n, field)
-        blocks = [census._jordan_stack(lam, dtype) for lam in enumerate_partitions(split_core(mu).ones)]
-        yield from itertools.islice(census._cross_outer(mu, field, count, blocks), 4)
+        blocks = [census._jordan_stack(lam) for lam in enumerate_partitions(split_core(mu).ones)]
+        yield from itertools.islice(census._cross_outer(mu, field, blocks), 4)
     yield from _sampled_batches(mu, field)
 
 
 def _assert_corner_rank_rows(mu, field, batches, members=24):
-    """`_rank_rows` on the K x K corner equals the full n x n rank sequences
-    (ExactMatrix.rank_sequence, zero-padded) of sampled members of every batch."""
+    """`_rank_rows` on a batch of K x K corners equals the full n x n rank
+    sequences (ExactMatrix.rank_sequence, zero-padded) of sampled members of
+    every batch, each corner placed at the free coordinates."""
     n, p = mu.n, field.order
+    positions = free_coordinates(mu).positions
     rnd = np.random.default_rng(n)
     seen = 0
     for mats in batches:
         bits = mats.dtype == np.uint32
         rows = census._rank_rows(mats, mu, p, bits)
         if bits:
-            mats = (mats[:, :, None] >> np.arange(n, dtype=np.uint32) & np.uint32(1)).astype(np.int64)
+            mats = mats[:, :, None] >> np.arange(mats.shape[1], dtype=np.uint32) & np.uint32(1)
         for i in rnd.choice(mats.shape[0], min(members, mats.shape[0]), replace=False):
-            seq = ExactMatrix(field, mats[i].tolist()).rank_sequence()
+            full = [[0] * n for _ in range(n)]
+            for (r, c), v in zip(positions, mats[i].reshape(-1).tolist()):
+                full[r][c] = v
+            seq = ExactMatrix(field, full).rank_sequence()
             assert rows[i].tolist() == seq + [0] * (rows.shape[1] - len(seq)), (format_partition(mu), field.name)
             seen += 1
     assert seen, (format_partition(mu), field.name)
@@ -629,10 +660,17 @@ def test_corner_rank_rows_match_full_rank_sequences(monkeypatch, field):
 
 
 def test_corner_rank_rows_past_a_bit_row_and_the_int64_bound(monkeypatch):
-    # GF(2) at n = 34 (int64 mod 2) and n = 32 (the widest bit row)
+    # GF(2) picks bit rows by K, not n: 17,17 (n = 34, K = 2) and 30,1,1
+    # (n = 32, K = 3) run on bit rows, 2^33 (n = 66, K = 33) on int64 mod 2
     for text in ("17,17", "30,1,1"):
         mu = parse_partition(text)
         _assert_corner_rank_rows(mu, GF2, _nilpotent_batches(mu, GF2))
+    mu = parse_partition("17,17")
+    assert {(mats.dtype, mats.shape[1:]) for mats in _nilpotent_batches(mu, GF2)} == {(np.dtype(np.uint32), (2,))}
+    mu = Partition([2] * 33)
+    assert {(mats.dtype, mats.shape[1:]) for mats in _sampled_batches(mu, GF2, 30)} == {(np.dtype(np.int64), (33, 33))}
+    _assert_corner_rank_rows(mu, GF2, _sampled_batches(mu, GF2, 30))
+    assert sampled_shape_census(mu, GF2, 30, seed=4) == _stream_census(mu, GF2, 30, 4)
     # GF(2^31 - 1), whose batches hold Python ints: a uniform A22 is almost
     # never nilpotent, so the draws keep only A22's entries above its diagonal
     from nilpairs import rng

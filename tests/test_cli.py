@@ -222,6 +222,16 @@ def test_verify_budget_guard(capsys):
     assert json.loads(out)["kind"] == "usage"
 
 
+@pytest.mark.parametrize("argv", [("--samples", "1000000000000"), ("--samples", "201", "--budget", "200")])
+def test_verify_samples_past_the_budget_is_usage_error(capsys, argv):
+    # sample mode draws at most --budget samples (2^24 by default); more is
+    # refused before any draw, where 10^12 draws would run for months
+    code, out = run_cli(capsys, "verify", "--mu", "2,1", "--field", "gf2", "--mode", "sample", *argv)
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["kind"] == "usage" and "budget" in doc["error"]
+
+
 @pytest.mark.parametrize("budget", [10**32, 10**39])
 def test_verify_budget_past_the_odometer_is_usage_error(capsys, budget):
     # 2,1 over GF(2^31 - 1) has p^4 > 2^63 candidates, more than an int64
