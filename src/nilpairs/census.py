@@ -4,17 +4,18 @@ A candidate (an annihilating-form matrix for mu) is nilpotent exactly when
 its m x m ones block A22 is, and p^(m^2 - m) of the p^(m^2) blocks are
 (Fine-Herstein).  Conjugating by diag(I, P), P in GL_m(p), keeps a candidate
 in the pattern and keeps its shape, and maps the candidates over one A22
-onto those over P A22 P^-1.  So the exhaustive census fixes A22 to one
-J_lambda per orbit (lambda a partition of m), crosses it with every
-assignment of the outer free coordinates and weights the shapes by the orbit
-size |GL_m(p)| / |C(J_lambda)|: p(m) p^(F - m^2) matrices stand for the
-p^(F - m) nilpotent candidates of the p^F; the census's budget bounds the
-matrices it builds.  `verify_shapes` checks every nilpotent candidate, so
-its exhaustive stream walks the A22 blocks in chunks and crosses the
-nilpotent ones the same way; a candidate's free entries are its odometer
-digits, so it carries its own index.  The sampled stream, read by the
-sampled census and `verify_shapes`, keeps the draws whose A22 is nilpotent,
-each with its sample index.  A candidate is zero outside the K x K corner at
+onto those over P A22 P^-1.  So the exhaustive census stacks one J_lambda
+per orbit (lambda a partition of m), crosses the stack with every assignment
+of the outer free coordinates and weights each member's shape by its
+lambda's orbit size |GL_m(p)| / |C(J_lambda)|: p(m) p^(F - m^2) matrices
+stand for the p^(F - m) nilpotent candidates of the p^F; the census's budget
+bounds the matrices it builds.  `verify_shapes` checks every nilpotent
+candidate, so its exhaustive stream walks the A22 blocks in chunks and
+crosses the nilpotent ones the same way; a candidate's free entries are its
+odometer digits, so it carries its own index.  The sampled stream, read by
+the sampled census and `verify_shapes`, draws each sample's A22 first and
+its whole corner only when A22 is nilpotent, and yields those draws, each
+with its sample index.  A candidate is zero outside the K x K corner at
 its free rows and columns (K = k + m, the parts of mu), and its free
 coordinates are that corner in row-major order, so every stream yields
 stacks of corners, A22 at [k:, k:].  A batch holds uint32 bit rows over
@@ -39,7 +40,7 @@ of the census are in `nilpairs.oracles`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -244,12 +245,14 @@ def _rank_rows(corners: np.ndarray, mu: Partition, p: int, bits: bool) -> np.nda
 
 
 def _add_shape_counts(
-    counts: dict[Partition, int], mats: np.ndarray, mu: Partition, p: int, bits: bool, weight: int = 1
+    counts: dict[Partition, int], mats: np.ndarray, mu: Partition, p: int, group=0, weights: Sequence[int] = (1,)
 ) -> None:
-    """Add the shapes of a stack of nilpotent candidates for mu, each `weight` times, to `counts`."""
-    shapes, _, sizes = _classes(_rank_rows(mats, mu, p, bits), mu.n)
-    for shape, cnt in zip(shapes, sizes.tolist()):
-        counts[shape] = counts.get(shape, 0) + weight * cnt
+    """Add the shapes of nilpotent candidates for mu to `counts`, member i weights[group[i]] times, in Python ints."""
+    shapes, cls, _ = _classes(_rank_rows(mats, mu, p, mats.dtype == np.uint32), mu.n)
+    pairs = np.bincount(cls * len(weights) + group, minlength=len(shapes) * len(weights))
+    for code in np.flatnonzero(pairs).tolist():
+        shape = shapes[code // len(weights)]
+        counts[shape] = counts.get(shape, 0) + weights[code % len(weights)] * int(pairs[code])
 
 
 # -- the candidate streams ------------------------------------------------------------
@@ -349,21 +352,33 @@ def _sampled_stream(
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Batches (corners, sample index) of the nilpotent draws among `samples`.
 
-    Sample i takes splitmix64 stream positions [i*F, (i+1)*F) of `seed`, as
-    oracles.sample_candidate(..., index=i) does: its corner, row-major.
+    Sample i owns splitmix64 stream positions [i*F, (i+1)*F) of `seed`, as
+    oracles.sample_candidate(..., index=i) does: its corner, row-major.  A
+    batch first draws the m^2 positions of each sample's A22 block, and the
+    whole corner only for the samples whose A22 is nilpotent.
     """
     from . import rng
 
     p = field.order
     k, size, _ = _a22_split(mu)
+    m = size - k
+    a22_cells = np.arange(size * size).reshape(size, size)[k:, k:].reshape(-1)
     dtype = _dtype(size, field)
     step = _batch_size(size, _BATCH // 4, dtype)
     for start in range(0, samples, step):
-        stop = min(start + step, samples)
-        corners = rng.values_mod_np(seed, start * size * size, (stop - start) * size * size, p)
-        corners = corners.reshape(stop - start, size, size)
-        keep = _nilpotent_mask(_pack(corners[:, k:, k:], dtype), size - k, p, dtype is np.uint32)
-        yield _pack(corners[keep], dtype), start + np.flatnonzero(keep)
+        first = np.arange(start, min(start + step, samples), dtype=np.int64)[:, None] * (size * size)
+        a22 = rng.values_mod_np(seed, first + a22_cells, p).reshape(first.shape[0], m, m)
+        keep = np.flatnonzero(_nilpotent_mask(_pack(a22, dtype), m, p, dtype is np.uint32))
+        corners = rng.values_mod_np(seed, first[keep] + np.arange(size * size), p)
+        yield _pack(corners.reshape(keep.size, size, size), dtype), start + keep
+
+
+def _check_draws(samples: int, budget: int) -> None:
+    """Refuse a negative sample count (ValueError) and more draws than the budget (BudgetExceeded)."""
+    if samples < 0:
+        raise ValueError(f"sample count must be non-negative, got {samples}")
+    if samples > budget:
+        raise BudgetExceeded(samples, budget, f"sampling needs {samples} draws, budget is {budget}")
 
 
 # -- public censuses ------------------------------------------------------------------
@@ -375,6 +390,8 @@ def exhaustive_shape_census(
     """Shape -> count over all nilpotent annihilating-form candidates (vectorized).
 
     One J_lambda per GL_m orbit of A22, its shapes weighted by the orbit size.
+    All J_lambda cross the outer coordinates as one block stack, so a batch
+    can mix lambdas: member j has lambda number j // p^|outer| and its weight.
     The budget bounds the matrices built, p(m) p^(F - m^2), not the p^F
     candidates they stand for.
     """
@@ -388,26 +405,30 @@ def exhaustive_shape_census(
     if built > budget:
         raise BudgetExceeded(built, budget, f"the census builds {built} matrices, budget is {budget}")
     counts: dict[Partition, int] = {}
-    for lam in lams:
-        weight = _orbit_size(lam, p)
-        for mats in _cross_outer(mu, field, [_jordan_stack(lam)]):
-            _add_shape_counts(counts, mats, mu, p, mats.dtype == np.uint32, weight)
+    weights = [_orbit_size(lam, p) for lam in lams]
+    start = 0
+    for mats in _cross_outer(mu, field, [np.concatenate([_jordan_stack(lam) for lam in lams])]):
+        lam_of = np.arange(start, start + mats.shape[0], dtype=np.int64) // p ** len(outer)
+        _add_shape_counts(counts, mats, mu, p, lam_of, weights)
+        start += mats.shape[0]
     return counts
 
 
 def sampled_shape_census(
-    mu: Partition, field: FieldSpec, samples: int, seed: int
+    mu: Partition, field: FieldSpec, samples: int, seed: int, budget: int = DEFAULT_BUDGET
 ) -> tuple[dict[Partition, int], int]:
     """Shape -> count over nilpotent candidates among `samples` seeded draws.
 
-    Returns the counts and the number of nilpotent samples.
+    Returns the counts and the number of nilpotent samples.  The budget
+    bounds the draws; past it, BudgetExceeded is raised before drawing.
     """
     mu = Partition(mu)
+    _check_draws(samples, budget)
     counts: dict[Partition, int] = {}
     nilp_total = 0
     for mats, _ in _sampled_stream(mu, field, samples, seed):
         nilp_total += mats.shape[0]
-        _add_shape_counts(counts, mats, mu, field.order, mats.dtype == np.uint32)
+        _add_shape_counts(counts, mats, mu, field.order)
     return counts, nilp_total
 
 
@@ -692,8 +713,7 @@ def verify_shapes(
         walk = _cross_outer(mu, field, _nilpotent_a22_walk(mu, field))
         stream = ((mats, None) for mats in walk)
     elif mode == "sample":
-        if samples > budget:
-            raise BudgetExceeded(samples, budget, f"sampling needs {samples} draws, budget is {budget}")
+        _check_draws(samples, budget)
         stream = _sampled_stream(mu, field, samples, seed)
     else:
         raise ValueError(f"unknown mode {mode!r}")

@@ -25,9 +25,9 @@ def values_mod(seed: int, start: int, count: int, modulus: int) -> list[int]:
     return [splitmix64(seed, i) % modulus for i in range(start, start + count)]
 
 
-def values_mod_np(seed: int, start: int, count: int, modulus: int) -> np.ndarray:
-    """Vectorized equivalent of values_mod (identical stream)."""
-    idx = np.arange(start, start + count, dtype=np.uint64)
+def values_mod_np(seed: int, positions: np.ndarray, modulus: int) -> np.ndarray:
+    """Stream values at an array of positions, in its shape, mod `modulus`: values_mod's stream as int64."""
+    idx = np.asarray(positions).astype(np.uint64)
     with np.errstate(over="ignore"):
         z = np.uint64(seed * 0x632BE59BD9B4E019 & _MASK) + (idx + np.uint64(1)) * np.uint64(_GAMMA)
         z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)

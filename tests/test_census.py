@@ -103,6 +103,22 @@ def test_census_budget():
     assert sum(counts.values()) == 2**20 and set(counts) == set(enumerate_shapes(mu))
 
 
+def test_sampled_census_budget(monkeypatch):
+    # the budget bounds the draws, and a refused or negative count draws nothing
+    from nilpairs import rng
+
+    mu = parse_partition("2,2,1")
+    assert sampled_shape_census(mu, GF3, 100, seed=0, budget=100) == _stream_census(mu, GF3, 100, 0)
+    monkeypatch.setattr(rng, "values_mod_np", None)
+    with pytest.raises(BudgetExceeded) as info:
+        sampled_shape_census(mu, GF3, 101, seed=0, budget=100)
+    assert (info.value.required, info.value.budget) == (101, 100)
+    with pytest.raises(BudgetExceeded):
+        sampled_shape_census(mu, GF3, 10**12, seed=0)
+    with pytest.raises(ValueError, match="non-negative"):
+        sampled_shape_census(mu, GF3, -1, seed=0)
+
+
 def _stream_census(mu, field, samples, seed):
     """Per-matrix twin of sampled_shape_census on the same sample stream."""
     ref: dict = {}
@@ -148,7 +164,7 @@ def test_census_and_verify_past_int64_bound_on_large_entries(monkeypatch):
         rows[r][c] = 3 if r == 5 and c >= 2 else field.order - 1
     shape = ExactMatrix(field, rows).nilpotent_shape()
     vals = [rows[r][c] for r, c in positions]
-    monkeypatch.setattr(rng, "values_mod_np", lambda seed, start, count, p: np.array(vals * (count // len(vals))))
+    monkeypatch.setattr(rng, "values_mod_np", lambda seed, idx, p: np.array(vals)[idx % len(vals)])
     assert sampled_shape_census(mu, field, 3, seed=0) == ({shape: 3}, 3)
     rep = verify_shapes(mu, field, mode="sample", samples=3)
     assert rep.ok and rep.observed == (shape,)
@@ -186,8 +202,9 @@ def _corner_cap(mu, field):
 
 @pytest.mark.parametrize("field", [GF2, GF3, GF(5)], ids=lambda f: f.name)
 def test_chunked_a22_census_matches_reference(monkeypatch, field):
-    # caps small enough that each J_lambda's crossing with the outer
-    # coordinates comes in several batches; the census walks no A22 block
+    # caps small enough that the crossing of all J_lambda with the outer
+    # coordinates, one stack, comes in several full batches; the census
+    # walks no A22 block
     sizes = _record_chunks(monkeypatch)
     for text in CHUNKED_CASES:
         mu = parse_partition(text)
@@ -201,7 +218,113 @@ def test_chunked_a22_census_matches_reference(monkeypatch, field):
         m = split_core(mu).ones
         built = len(enumerate_partitions(m)) * field.order ** (len(free_coordinates(mu)) - m * m)
         assert max(sizes["batch"]) <= cap and not sizes["a22"], text
-        assert sum(sizes["batch"]) == built and len(sizes["batch"]) > 1, text
+        assert sum(sizes["batch"]) == built and len(sizes["batch"]) == -(-built // cap), text
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, GF(5)], ids=lambda f: f.name)
+def test_census_weights_each_member_by_its_lambda(monkeypatch, field):
+    # every J_lambda crosses the outer coordinates in one stack: under
+    # 7-member batches a batch boundary falls inside one lambda's crossing,
+    # one batch holds members of two lambdas, and each member still counts
+    # its own lambda's orbit size.  1^m (k = 0) is checked against the class
+    # sizes, the rest against the per-matrix census
+    monkeypatch.setattr(census, "_BATCH", 7)
+    monkeypatch.setattr(census, "_INT64_CELLS", 100)
+    batches, real = [], census._add_shape_counts
+
+    def record(counts, mats, mu, p, group=0, weights=(1,)):
+        batches.append(set(np.broadcast_to(group, mats.shape[:1]).tolist()))
+        return real(counts, mats, mu, p, group, weights)
+
+    monkeypatch.setattr(census, "_add_shape_counts", record)
+    mixed, spanning = set(), set()
+    for text in ("1,1,1", "1,1,1,1", "2,1", "2,1,1", "2,2,1"):
+        mu = parse_partition(text)
+        k = census._a22_split(mu)[0]
+        if k and candidate_count(mu, field) > 20000:
+            continue
+        batches.clear()
+        got = exhaustive_shape_census(mu, field)
+        if k:
+            assert got == reference_shape_census(mu, field), (text, field.name)
+        else:
+            assert got == {s: _nilpotent_class_size(s, field.order) for s in enumerate_partitions(mu.n)}, text
+        if any(len(b) > 1 for b in batches):
+            mixed.add(text)
+        if any(a & b for a, b in zip(batches, batches[1:])):
+            spanning.add(text)
+    assert {"1,1,1", "1,1,1,1"} <= mixed and "2,1" in spanning
+    if field.order < 5:  # 2,1,1 has two lambdas and 2^5 or 3^5 outer assignments each
+        assert "2,1,1" in mixed & spanning
+
+
+def test_census_of_ones_ranks_every_lambda_in_one_batch(monkeypatch):
+    # 1^20 has no outer coordinates, so its 627 J_lambda are all the matrices
+    # the census builds; they take one batch and one `_rank_rows` call
+    calls, real = [], census._rank_rows
+
+    def counting(mats, mu, p, bits):
+        calls.append(mats.shape[0])
+        return real(mats, mu, p, bits)
+
+    monkeypatch.setattr(census, "_rank_rows", counting)
+    counts = exhaustive_shape_census(Partition([1] * 20), GF2)
+    assert calls == [627]
+    assert sum(counts.values()) == 2**380
+    assert len(counts) == 627 and set(counts) == set(enumerate_partitions(20))
+
+
+_LAZY_DRAW_CASES = [
+    ("2,2", GF2),
+    ("1,1,1", GF2),
+    ("3,2,1,1", GF2),
+    ("2,2", GF3),
+    ("1,1,1", GF3),
+    ("2,2,1", GF(5)),
+    ("2,2", GF(2**31 - 1)),
+]
+
+
+@pytest.mark.parametrize(
+    "text, field", [pytest.param(*case, id=f"{case[0]}-{case[1].name}") for case in _LAZY_DRAW_CASES]
+)
+def test_sampled_stream_draws_the_corner_only_for_nilpotent_a22(monkeypatch, text, field):
+    # 7 samples per batch; m = 0 (2,2) keeps every draw, m = K (1,1,1) has
+    # A22 as the whole corner; bit rows, int64 and Python-int batches.  The
+    # stream asks for m^2 positions per sample and the whole corner again
+    # only per kept sample, and yields exactly the nilpotent draws of
+    # sample_candidate, in order, which the census and verify then read
+    from nilpairs import rng
+
+    monkeypatch.setattr(census, "_BATCH", 4 * 7)
+    asked, real = [], rng.values_mod_np
+
+    def counting(seed, idx, p):
+        asked.append(idx.size)
+        return real(seed, idx, p)
+
+    monkeypatch.setattr(rng, "values_mod_np", counting)
+    mu, samples = parse_partition(text), 60
+    k, size, _ = census._a22_split(mu)
+    lay = pattern_layout(mu)
+    draws = [sample_candidate(mu, field, 3, index=i) for i in range(samples)]
+    nilpotent = [i for i, c in enumerate(draws) if c.is_nilpotent()]
+    got, dtypes = [], set()
+    for mats, drawn in census._sampled_stream(mu, field, samples, seed=3):
+        dtypes.add(mats.dtype)
+        if mats.dtype == np.uint32:
+            mats = mats[:, :, None] >> np.arange(size, dtype=np.uint32) & np.uint32(1)
+        got += [(i, c.tolist()) for i, c in zip(drawn.tolist(), mats)]
+    corners = [[[draws[i].rows[r][c] for c in lay.free_cols] for r in lay.free_rows] for i in nilpotent]
+    assert got == list(zip(nilpotent, corners))
+    assert len(dtypes) == 1 and len(asked) == 2 * -(-samples // 7)
+    assert sum(asked) == (size - k) ** 2 * samples + size * size * len(nilpotent)
+    if k == size:
+        assert len(nilpotent) == samples
+    counts, kept = sampled_shape_census(mu, field, samples, seed=3)
+    assert (counts, kept) == _stream_census(mu, field, samples, 3)
+    rep = verify_shapes(mu, field, mode="sample", samples=samples, seed=3)
+    assert rep.ok and set(rep.observed) == set(counts)
 
 
 @pytest.mark.parametrize("field", [GF2, GF3, GF(5)], ids=lambda f: f.name)
@@ -675,18 +798,16 @@ def test_corner_rank_rows_past_a_bit_row_and_the_int64_bound(monkeypatch):
     # never nilpotent, so the draws keep only A22's entries above its diagonal
     from nilpairs import rng
 
-    field = GF(2**31 - 1)
+    field, stream = GF(2**31 - 1), rng.values_mod_np
     for text in ("1,1,1,1", "3,3", "2,2,2", "2,1", "2,2,1", "3,2,1,1", "2,1,1,1"):
         mu = parse_partition(text)
         positions = free_coordinates(mu).positions
         base = mu.n - split_core(mu).ones
         lower = [f for f, (r, c) in enumerate(positions) if r >= base and c >= base and r >= c]
-        draws = np.random.default_rng(mu.n)
 
-        def values(seed, start, count, p, nf=len(positions), lower=lower, draws=draws):
-            vals = draws.integers(0, p, size=(count // nf, nf), dtype=np.int64)
-            vals[:, lower] = 0
-            return vals.reshape(-1)
+        def values(seed, idx, p, nf=len(positions), lower=lower):
+            # the stream's value at each position, 0 where the corner cell idx % F is in lower
+            return np.where(np.isin(idx % nf, lower), 0, stream(seed, idx, p))
 
         monkeypatch.setattr(rng, "values_mod_np", values)
         _assert_corner_rank_rows(mu, field, _sampled_batches(mu, field, samples=40))
