@@ -31,10 +31,10 @@ reduces them (`_reduce_slice`): stage 0 of `reduce` once per distinct A22
 block in a batch, its block products as one batched product, and stages
 1-5 once per lambda as masked batched moves on the members' stacks
 (`_reduce_stack`, the twin of the per-matrix `reduction.reduce_rows` that
-`reduce` runs).  `reduce`'s postconditions and the formula then run on the
-stacks, once per distinct (lambda, M) where they need M, and once per
-slice where they compare members.  The per-matrix twins of the streams and
-of the census are in `nilpairs.oracles`.
+`reduce` runs).  `reduce`'s postconditions and the formula then run once
+per distinct (lambda, M) of a batch, kept in one table, where they need M,
+and once per slice where they compare members.  The per-matrix twins of
+the streams and of the census are in `nilpairs.oracles`.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ import numpy as np
 from .fields import FieldSpec
 from .matrix import ExactMatrix, _np_safe
 from .jordan import InternalInconsistency
-from .reduction import _unique_rows
 from .partitions import (
     Partition,
     canonical_sorted,
@@ -79,7 +78,25 @@ _ODOMETER = 2**63 - 1  # entries an int64 odometer index can reach
 def _batch_size(size: int, cap: int, dtype) -> int:
     """Members per batch of size x size stacks in dtype: at most cap, and a bounded number of entries."""
     cells = _OBJECT_CELLS if dtype is object else _INT64_CELLS
-    return max(1, min(cap, cells // (size * size)))
+    return max(1, min(cap, cells // max(1, size * size)))  # size 0: the empty partition
+
+
+def _unique_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, inverse) of a 2-D array's rows: the first row with each distinct value, each row's value number.
+
+    Integer rows go through np.unique as one opaque byte string each (much
+    cheaper than np.unique over rows, which sorts field by field); object
+    rows (Python ints) and empty rows are keyed as tuples, numbered in order
+    of first appearance.
+    """
+    if x.dtype != object and x.shape[1]:
+        x = np.ascontiguousarray(x)
+        rows = x.view(np.dtype((np.void, x.dtype.itemsize * x.shape[1]))).reshape(-1)
+        _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+        return first, inverse
+    ids: dict = {}
+    inverse = np.array([ids.setdefault(r, len(ids)) for r in map(tuple, x.tolist())], dtype=np.intp)
+    return np.unique(inverse, return_index=True)[1], inverse
 
 
 def _classes(rank_mat: np.ndarray, n: int) -> tuple[list[Partition], np.ndarray, np.ndarray]:
@@ -285,7 +302,7 @@ def _cross_outer(mu: Partition, field: FieldSpec, blocks: Iterable[np.ndarray]) 
             j = np.arange(start, min(start + step, total), dtype=np.int64)
             corners = np.zeros((size * size, j.shape[0]), dtype=np.int64)
             corners[outer] = _digits(j % n_outer, len(outer), p)
-            corners = corners.T.reshape(-1, size, size)
+            corners = corners.T.reshape(j.shape[0], size, size)
             corners[:, k:, k:] = kept[j // n_outer]
             yield _pack(corners, dtype)
 
@@ -622,7 +639,7 @@ def _reduce_stack(
 
 
 def _reduce_slice(mu: Partition, field: FieldSpec, originals: np.ndarray, stage0: dict) -> tuple:
-    """(lam_id, lams, M, T, T^-1): `reduce_stages` for each candidate of an integer stack (B, n, n).
+    """(lam_id, lams, M, T, T^-1): `reduce`, unchecked, for each candidate of an integer stack (B, n, n).
 
     Member i has lambda lams[lam_id[i]] and the reduced matrix, transform and
     inverse transform M[i], T[i] and T^-1[i], integer stacks like originals.
@@ -680,14 +697,17 @@ def verify_shapes(
     outer coordinates; sample mode reads the sampled census's stream.  Every
     nilpotent candidate's shape is taken from its batch's rank rows and
     again through the reduction and shape_of_reduced, a slice of candidates
-    at a time on integer stacks (`_reduce_slice`): `reduce`'s postconditions
-    per slice (`reduction._verify`), the formula once per distinct
-    (lambda, M), and the formula against the rank-row shape once per pair
-    of classes.  A sample run whose draws held no nilpotent candidate
-    reports `checked: 0` in its details.  Any disagreement (the lowest 20
-    indices are reported: in exhaustive mode the odometer index, read back
-    from the candidate's free entries, in sample mode the sample index), or
-    any observed shape outside the prediction, yields a mismatch verdict.
+    at a time on integer stacks (`_reduce_slice`).  `is_reduced`, M's rank
+    sequence and the formula run once per distinct (lambda, M) of a batch;
+    per slice, the members' rank rows are compared with their M's sequences
+    at once, T T^-1 = I and T a = M T are taken as batched products
+    (`reduction._verify`), and the formula is compared with the rank-row
+    shape once per pair of classes.  A sample run whose draws held no
+    nilpotent candidate reports `checked: 0` in its details.  Any
+    disagreement (the lowest 20 indices are reported: in exhaustive mode
+    the odometer index, read back from the candidate's free entries, in
+    sample mode the sample index), or any observed shape outside the
+    prediction, yields a mismatch verdict.
     Exhaustive mode additionally requires every predicted shape to be
     observed.  The budget bounds the p^F candidates in exhaustive mode and
     the draws in sample mode; past it, BudgetExceeded is raised before any
@@ -719,7 +739,7 @@ def verify_shapes(
         raise ValueError(f"unknown mode {mode!r}")
 
     lay = pattern_layout(mu)
-    free_rows, free_cols = np.array(lay.free_rows)[:, None], np.array(lay.free_cols)
+    free_rows, free_cols = np.array(lay.free_rows, dtype=np.intp)[:, None], np.array(lay.free_cols, dtype=np.intp)
     full = np.int64 if _np_safe(field, n) else object  # the dual check's n x n stacks, as `_integer_stack` picks
     width = _batch_size(n, _DUAL_CHECK, full)
     split = split_core(mu)
@@ -730,7 +750,7 @@ def verify_shapes(
         shapes, oracle, _ = _classes(rank_rows, n)
         observed.update(shapes)
         stage0: dict = {}  # A22 entries -> stage 0's data
-        formulas: dict = {}  # (lambda, reduced rows) -> formula shape
+        checked: dict = {}  # (lambda, M rows) -> (M's rank sequence, formula shape), M in reduced form
         for start in range(0, mats.shape[0], width):
             stop = min(start + width, mats.shape[0])
             corners = mats[start:stop]
@@ -738,24 +758,34 @@ def verify_shapes(
                 corners = corners[:, :, None] >> np.arange(len(lay.free_cols), dtype=np.uint32) & np.uint32(1)
             originals = np.zeros((stop - start, n, n), dtype=full)  # E B F^T
             originals[:, free_rows, free_cols] = corners
-            reduced = _reduce_slice(mu, field, originals, stage0)
-            first, inverse = reduction._verify(mu, field, originals, reduced, rank_rows[start:stop])
-            lam_id, lams, ms, ts, _ = reduced
+            lam_id, lams, ms, ts, tis = _reduce_slice(mu, field, originals, stage0)
+            first, inverse = _unique_rows(np.concatenate([lam_id[:, None], ms.reshape(stop - start, -1)], axis=1))
+            ranks = rank_rows[start:stop]
+            seqs = np.zeros((len(first), ranks.shape[1]), dtype=ranks.dtype)
             classes: dict = {}  # formula shape -> its class
             formula_class = []
-            for i, rows in zip(first.tolist(), ms[first].tolist()):
+            for d, (i, rows) in enumerate(zip(first.tolist(), ms[first].tolist())):
                 key = (lams[lam_id[i]], tuple(map(tuple, rows)))
-                formula = formulas.get(key)
-                if formula is None:
+                if key not in checked:
+                    matrix = ExactMatrix(field, key[1], _canon=False)
+                    if not reduction.is_reduced(matrix, mu, key[0]):
+                        raise reduction.ReductionError("pipeline output is not in reduced form")
                     pair = reduction.ReducedPair(
                         mu_core=split.core,
                         ones=split.ones,
                         lam=key[0],
-                        matrix=ExactMatrix(field, key[1], _canon=False),
+                        matrix=matrix,
                         transform=ExactMatrix(field, ts[i].tolist(), _canon=False),
                     )
-                    formula = formulas[key] = jordan.shape_of_reduced(pair)
+                    checked[key] = (matrix.rank_sequence(), jordan.shape_of_reduced(pair))
+                seq, formula = checked[key]
+                if len(seq) > ranks.shape[1]:
+                    raise reduction.ReductionError("rank sequence changed during reduction")
+                seqs[d, : len(seq)] = seq
                 formula_class.append(classes.setdefault(formula, len(classes)))
+            if not np.array_equal(seqs[inverse], ranks):  # every member's rank row against its M's
+                raise reduction.ReductionError("rank sequence changed during reduction")
+            reduction._verify(field, originals, ms, ts, tis)
             # formula against oracle once per (formula class, oracle class) pair
             codes = np.array(formula_class, dtype=np.intp)[inverse] * len(shapes) + oracle[start:stop]
             formula_of = list(classes)

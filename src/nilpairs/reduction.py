@@ -13,7 +13,8 @@ the reduced form:
 while accumulating the exact similarity transform.  Every elementary move
 keeps the matrix inside the annihilating pattern for (mu, 1^m); the stages
 only ever touch statically-zero rows/columns on the silent side of each
-conjugation, which is re-verified defensively before returning.
+conjugation; `reduce` re-verifies its result before returning (`is_reduced`,
+the rank sequence, then the similarity products of `_verify`).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 from .fields import FieldSpec
 from .matrix import ExactMatrix, NotNilpotent, _np_safe, jordan_matrix, jordanize_nilpotent
 from .partitions import Partition, equal_runs, from_core, split_core
-from .structure import Layout, corner_layout, matches_annihilating_pattern, pattern_layout
+from .structure import Layout, corner_layout, matches_annihilating_pattern
 
 __all__ = [
     "PreconditionViolated",
@@ -35,7 +36,6 @@ __all__ = [
     "OnesJordan",
     "jordanize_ones",
     "reduce",
-    "reduce_stages",
     "reduce_rows",
     "is_reduced",
 ]
@@ -227,34 +227,19 @@ def reduce(a: ExactMatrix, mu: Partition, validate: bool = True, _stage_hook=Non
     cross-block column moves repaired back into the pattern, (4) swaps of
     equal lambda blocks so pivot columns come first in each run, (5) column
     echelon reduction of the A21 corner matrix.  The returned pair always
-    satisfies transform * a * transform^-1 == matrix exactly.
+    satisfies transform * a * transform^-1 == matrix exactly; `validate`
+    re-checks it (`is_reduced`, a's rank sequence, then `_verify`).
     """
     mu = Partition(mu)
+    split = split_core(mu)
     n = mu.n
     if a.nrows != n or a.ncols != n:
         raise PreconditionViolated(f"matrix is {a.nrows}x{a.ncols}, mu sums to {n}")
     if not matches_annihilating_pattern(a, mu):
         raise PreconditionViolated("matrix does not annihilate J_mu")
-    base = pattern_layout(mu).base
-    pair, tinv = reduce_stages(a, mu, jordanize_ones(a.submatrix(base, n, base, n)), _stage_hook)
-    if validate:
-        reduced = (np.zeros(1, dtype=np.intp), [pair.lam], [pair.matrix.rows], [pair.transform.rows], [tinv.rows])
-        _verify(mu, a.field, [a.rows], reduced, [a.rank_sequence()])
-    return pair
-
-
-def reduce_stages(
-    a: ExactMatrix, mu: Partition, ones: OnesJordan, _stage_hook=None
-) -> tuple[ReducedPair, ExactMatrix]:
-    """`reduce` after stage 0, given stage 0's data for a's ones block; unvalidated.
-
-    a must be of annihilating form for mu.  Returns the pair and the inverse
-    transform, which `_verify` takes.
-    """
-    split = split_core(mu)
-    n = mu.n
     f = a.field
     base = n - split.ones
+    ones = jordanize_ones(a.submatrix(base, n, base, n))
 
     # stage 0: conjugate by diag(I, P^-1); only the blocks A12*P, P^-1*A21
     # and P^-1*A22*P change, and the last is J_lambda by the contract of
@@ -274,8 +259,13 @@ def reduce_stages(
 
     matrix = ExactMatrix(f, work, _canon=False)
     transform = ExactMatrix(f, tw, _canon=False)
-    pair = ReducedPair(mu_core=split.core, ones=split.ones, lam=lam, matrix=matrix, transform=transform)
-    return pair, ExactMatrix(f, ti, _canon=False)
+    if validate:
+        if not is_reduced(matrix, mu, lam):
+            raise ReductionError("pipeline output is not in reduced form")
+        if matrix.rank_sequence() != a.rank_sequence():
+            raise ReductionError("rank sequence changed during reduction")
+        _verify(f, [a.rows], [work], [tw], [ti])
+    return ReducedPair(mu_core=split.core, ones=split.ones, lam=lam, matrix=matrix, transform=transform)
 
 
 def reduce_rows(f: FieldSpec, core: Partition, lam: Partition, work, tw, ti, _stage_hook=None) -> None:
@@ -400,70 +390,22 @@ def reduce_rows(f: FieldSpec, core: Partition, lam: Partition, work, tw, ti, _st
     _stage("echelon-y")
 
 
-def _verify(mu: Partition, f: FieldSpec, originals, reduced: tuple, rank_rows) -> tuple[np.ndarray, np.ndarray]:
-    """The postconditions of a stack of reductions of annihilating-form matrices for mu.
+def _verify(f: FieldSpec, originals, ms, ts, tis) -> None:
+    """T * T^-1 == I and T * a == M * T (so T * a * T^-1 == M) for every member of a stack of reductions.
 
-    originals holds the matrices a, as row lists or, over GF(p), as an
-    integer stack (B, n, n); reduced is (lam_id, lams, M, T, T^-1), member i
-    with lambda lams[lam_id[i]], and M, T, T^-1 as lists of row lists or
-    stacks like originals; rank_rows holds each member's rank row (B, q),
-    zero-padded or not.  For each member: T * T^-1 == I and T * a == M * T
-    (so T * a * T^-1 == M), both taken for the whole stack at once; M is in
-    reduced form, taken once per distinct (lambda, M), and its rank
-    sequence, taken as often, equals the member's rank row, compared for
-    the whole stack at once.  Returns (first, inverse): the first member of
-    each distinct (lambda, M) and each member's distinct pair.
+    originals, ms, ts and tis hold a, M, T and T^-1 as lists of n x n row
+    lists or, over GF(p), integer stacks (B, n, n); both products are taken
+    for the whole stack at once.  The checks of one M at a time are the callers'.
     """
-    lam_id, lams, ms, ts, tis = reduced
     a, da = _integer_stack(f, originals)
     m, dm = _integer_stack(f, ms)
     t, dt = _integer_stack(f, ts)
     ti, dti = _integer_stack(f, tis)
-    b = m.shape[0]
-    if b == 1:  # `reduce`'s stack of one: nothing to group
-        first = inverse = np.zeros(1, dtype=np.intp)
-    else:
-        key = [np.reshape(lam_id, (b, 1)), m.reshape(b, -1)]
-        if not f.is_finite:  # M[i] is m[i] / dm[i]
-            key.insert(1, dm.reshape(b, 1))
-        first, inverse = _unique_rows(np.concatenate(key, axis=1))
-    ranks = np.asarray(rank_rows)
-    seqs = np.zeros((len(first), ranks.shape[1]), dtype=ranks.dtype)
-    rows = ms[first].tolist() if isinstance(ms, np.ndarray) else [ms[i] for i in first.tolist()]
-    for d, (i, x) in enumerate(zip(first.tolist(), rows)):
-        matrix = ExactMatrix(f, x, _canon=False)
-        if not is_reduced(matrix, mu, lams[lam_id[i]]):
-            raise ReductionError("pipeline output is not in reduced form")
-        seq = matrix.rank_sequence()
-        if len(seq) > ranks.shape[1]:
-            raise ReductionError("rank sequence changed during reduction")
-        seqs[d, : len(seq)] = seq
-    if not np.array_equal(seqs[inverse], ranks):
-        raise ReductionError("rank sequence changed during reduction")
     eye = np.eye(t.shape[1], dtype=t.dtype)
     if not _equal_mod(f, np.matmul(t, ti), dt * dti * eye):
         raise ReductionError("accumulated inverse transform is wrong")
     if not _equal_mod(f, dm * np.matmul(t, a), da * np.matmul(m, t)):
         raise ReductionError("conjugation relation transform*a*transform^-1 failed")
-    return first, inverse
-
-
-def _unique_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(first, inverse) of a 2-D array's rows: the first row with each distinct value, each row's value number.
-
-    Integer rows go through np.unique as one opaque byte string each (much
-    cheaper than np.unique over rows, which sorts field by field); object
-    rows (Python ints, Fractions) and empty rows are keyed as tuples,
-    numbered in order of first appearance.
-    """
-    if x.dtype != object and x.shape[1]:
-        x = np.ascontiguousarray(x)
-        rows = x.view(np.dtype((np.void, x.dtype.itemsize * x.shape[1]))).reshape(-1)
-        _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
-        return first, inverse
-    ids: dict = {}
-    inverse = np.array([ids.setdefault(r, len(ids)) for r in map(tuple, x.tolist())], dtype=np.intp)
-    return np.unique(inverse, return_index=True)[1], inverse
 
 
 def _integer_stack(f: FieldSpec, mats) -> tuple[np.ndarray, object]:

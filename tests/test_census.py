@@ -517,7 +517,7 @@ _EQUIVALENCE_CASES = [  # mu, field, mode, sampled draws, check slice size
 )
 def test_batched_reduction_matches_per_matrix(monkeypatch, text, field, mode, samples, check):
     # verify's batched stage 0 and stages 1-5 give every nilpotent candidate
-    # the (lambda, M, T, T^-1) of the per-matrix reduce_stages, over bit rows,
+    # the (lambda, M, T, T^-1) of the per-matrix reduce, over bit rows,
     # int64 and Python ints, m = 0 included.  With check = 3 the slices are
     # tiny, so the candidates of one A22 block span several slices and some
     # slices hold two blocks; the batches are tiny too, so each bit-row batch
@@ -534,16 +534,17 @@ def test_batched_reduction_matches_per_matrix(monkeypatch, text, field, mode, sa
     monkeypatch.setattr(census, "_OBJECT_CELLS", 16 * 25)
     monkeypatch.setattr(census, "_DUAL_CHECK", check)
     seen, blocks = [], []
-    real = reduction._verify
+    real = census._reduce_slice
 
-    def capture(mu, f, originals, reduced, rank_rows):
+    def capture(mu, f, originals, stage0):
+        reduced = real(mu, f, originals, stage0)
         lam_id, lams, ms, ts, tis = reduced
         lam_of = [lams[i] for i in lam_id.tolist()]
         seen.extend(zip(originals.tolist(), lam_of, ms.tolist(), ts.tolist(), tis.tolist()))
         blocks.append({str(a[n - m :, n - m :].tolist()) for a in originals})
-        return real(mu, f, originals, reduced, rank_rows)
+        return reduced
 
-    monkeypatch.setattr(reduction, "_verify", capture)
+    monkeypatch.setattr(census, "_reduce_slice", capture)
     mu = parse_partition(text)
     n, m = mu.n, split_core(mu).ones
     assert verify_shapes(mu, field, mode=mode, samples=samples, seed=2).ok
@@ -562,9 +563,9 @@ def test_batched_reduction_matches_per_matrix(monkeypatch, text, field, mode, sa
     assert len(seen) == expected > 0
     for rows, lam, mat, t, ti in seen:
         a = ExactMatrix(field, rows)
-        pair, tinv = reduction.reduce_stages(a, mu, reduction.jordanize_ones(a.submatrix(n - m, n, n - m, n)))
+        pair = reduction.reduce(a, mu, validate=False)
         assert (lam, tuple(map(tuple, mat))) == (pair.lam, pair.matrix.rows), rows
-        assert (t, ti) == (pair.transform.tolists(), tinv.tolists()), rows
+        assert (t, ti) == (pair.transform.tolists(), pair.transform.inverse().tolists()), rows
 
 
 def _one_stage0_for_all(monkeypatch):
@@ -582,9 +583,17 @@ def _one_stage0_for_all(monkeypatch):
 
 
 def _one_a22_key(monkeypatch):
-    """Put every candidate of a slice in one A22 group (the first candidate's)."""
-    def one_group(a22_rows):
-        return np.zeros(1, dtype=np.intp), np.zeros(len(a22_rows), dtype=np.intp)
+    """Put every candidate of a slice in one A22 group (the first candidate's); other keys stay distinct.
+
+    Only the A22 keys of `_reduce_slice` are m^2 wide (m = 2 for 2,1,1);
+    verify's (lambda, M) keys are 1 + n^2 wide.
+    """
+    real = census._unique_rows
+
+    def one_group(rows):
+        if rows.shape[1] != 4:
+            return real(rows)
+        return np.zeros(1, dtype=np.intp), np.zeros(len(rows), dtype=np.intp)
 
     monkeypatch.setattr(census, "_unique_rows", one_group)
 
@@ -604,6 +613,94 @@ def test_verify_planted_stage0_fault_is_internal(monkeypatch, capsys, plant):
             verify_shapes(parse_partition("2,1,1"), GF2, mode=mode, samples=200)
     assert main(["verify", "--mu", "2,1,1", "--field", "gf2"]) == 3
     assert json.loads(capsys.readouterr().out)["kind"] == "internal-inconsistency"
+
+
+def _capture_reduction_keys(patch):
+    """Record (stage-0 cache, members' (lambda, M) keys) for each `_reduce_slice` call; one cache per stream batch."""
+    slices, real = [], census._reduce_slice
+
+    def capture(mu, f, originals, stage0):
+        lam_id, lams, ms, ts, tis = reduced = real(mu, f, originals, stage0)
+        slices.append((stage0, [(lams[d], str(x)) for d, x in zip(lam_id.tolist(), ms.tolist())]))
+        return reduced
+
+    patch.setattr(census, "_reduce_slice", capture)
+    return slices
+
+
+def test_verify_checks_each_distinct_reduction_once_per_batch(monkeypatch):
+    # is_reduced and M's rank sequence run once per distinct (lambda, M) of a
+    # stream batch, not once per slice: with slices of 5, the same pairs
+    # recur across the slices of 2,1,1/GF(2)
+    import nilpairs.reduction as reduction
+
+    monkeypatch.setattr(census, "_DUAL_CHECK", 5)
+    calls = {"is_reduced": 0, "rank_sequence": 0}
+    is_reduced, rank_sequence = reduction.is_reduced, ExactMatrix.rank_sequence
+
+    def count_is_reduced(*args):
+        calls["is_reduced"] += 1
+        return is_reduced(*args)
+
+    def count_rank_sequence(self):
+        calls["rank_sequence"] += 1
+        return rank_sequence(self)
+
+    monkeypatch.setattr(reduction, "is_reduced", count_is_reduced)
+    monkeypatch.setattr(ExactMatrix, "rank_sequence", count_rank_sequence)
+    slices = _capture_reduction_keys(monkeypatch)
+    assert verify_shapes(parse_partition("2,1,1"), GF2).verdict == "equal"
+    batches: dict = {}  # stream batch (its stage-0 cache) -> the distinct (lambda, M) of each slice
+    for stage0, keys in slices:
+        batches.setdefault(id(stage0), []).append(set(keys))
+    per_batch = sum(len(set().union(*sets)) for sets in batches.values())
+    per_slice = sum(len(keys) for sets in batches.values() for keys in sets)
+    assert calls == {"is_reduced": per_batch, "rank_sequence": per_batch}
+    assert 0 < per_batch < per_slice
+
+
+def _member_sharing_its_reduction(monkeypatch, mu, field):
+    """Index of the first candidate whose (lambda, M) an earlier candidate of its slice has."""
+    with monkeypatch.context() as patch:
+        slices = _capture_reduction_keys(patch)
+        verify_shapes(mu, field)
+    ((_, keys),) = slices  # one slice
+    return next(i for i, key in enumerate(keys) if key in keys[:i])
+
+
+def test_verify_checks_every_members_rank_row(monkeypatch, capsys):
+    # a rank row replaced on a member that is not the first of its
+    # (lambda, M) fails the one array comparison: ReductionError, exit 3
+    import json
+
+    from nilpairs.cli import main
+    from nilpairs.reduction import ReductionError
+
+    mu = parse_partition("2,1,1")
+    i = _member_sharing_its_reduction(monkeypatch, mu, GF2)
+    real = census._rank_rows
+
+    def planted(mats, mu, p, bits):
+        rows = real(mats, mu, p, bits)
+        rows[i] = next(r for r in rows if (r != rows[i]).any())
+        return rows
+
+    monkeypatch.setattr(census, "_rank_rows", planted)
+    with pytest.raises(ReductionError, match="rank sequence"):
+        verify_shapes(mu, GF2)
+    assert main(["verify", "--mu", "2,1,1", "--field", "gf2"]) == 3
+    assert json.loads(capsys.readouterr().out)["kind"] == "internal-inconsistency"
+
+
+@pytest.mark.parametrize("field", [GF2, GF(5)], ids=lambda f: f.name)
+def test_census_and_verify_of_the_empty_partition(field):
+    # K = 0: batches of 0 x 0 corners, one candidate (the 0 x 0 matrix)
+    mu = Partition(())
+    assert exhaustive_shape_census(mu, field) == reference_shape_census(mu, field) == {mu: 1}
+    assert sampled_shape_census(mu, field, 5, seed=1) == ({mu: 5}, 5)
+    for mode in ("exhaustive", "sample"):
+        rep = verify_shapes(mu, field, mode=mode, samples=5)
+        assert rep.verdict == "equal" and rep.observed == (mu,), mode
 
 
 def test_verify_exhaustive_2111_gf2():

@@ -1,12 +1,18 @@
+import contextlib
+import csv
+import io
 import json
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nilpairs import characterize
 from nilpairs.cli import main
 from nilpairs.matrix import ExactMatrix
-from nilpairs.partitions import Partition, parse_partition
+from nilpairs.partitions import Partition, enumerate_partitions, format_partition, parse_partition
+from nilpairs.reduction import reduce as reduce_form
 from nilpairs.structure import sample_nilpotent_candidate
 from nilpairs.fields import GF, GF3
 
@@ -351,3 +357,127 @@ def test_deeply_nested_json_is_usage_error(tmp_path, capsys):
     code, out = run_cli(capsys, "reduce", "--mu", "1", "--input", str(path))
     assert code == 2
     assert json.loads(out)["kind"] == "usage"
+
+
+
+# -- the exit-code contract under any argv ----------------------------------------
+#
+# argv drawn from a bounded grammar of the nine commands: partitions with
+# n <= 5 in list and exponent forms, the empty partition's forms and
+# malformed text; good and bad field names; small, negative and huge
+# integers; missing and unknown flags.  Every example stays small: verify
+# always carries a budget of at most 10^4, and reduce and shape always read
+# an --input file (named here, resolved in the test's directory), never stdin.
+
+_PARTITION_TEXTS = (
+    [format_partition(mu) for n in range(1, 6) for mu in enumerate_partitions(n)]
+    + ["2,1^3", "1^5", "3,1^2"]
+    + ["", "()", "1^0", " "]
+    + ["0", "-1", "a", "2,3", "1^-1"]
+)
+_FIELD_NAMES = ["gf2", "gf:3", "gf:5", "rational", "gf:4", "gf:2147483647", "gf:1", "gf:x", "qq"]
+_SIZES = ["-1", "0", "1", "2", "5", str(10**30)]
+_SAMPLE_COUNTS = ["-1", "0", "1", "50", str(10**30)]
+
+
+def _input_docs() -> dict[str, str]:
+    """File name -> contents: matrix envelopes, reduced-pair docs, non-objects, bad entries, bad JSON."""
+    cand = sample_nilpotent_candidate(parse_partition("2,2,1"), GF3, 3)
+    docs = {
+        "candidate-221-gf3": cand.to_json_dict(),
+        "candidate-21-gf2": sample_nilpotent_candidate(parse_partition("2,1"), GF(2), 1).to_json_dict(),
+        "identity-3": ExactMatrix.identity(GF3, 3).to_json_dict(),
+        "zero-1-rational": {"field": "rational", "rows": [["0"]]},
+        "reduced-221-gf3": reduce_form(cand, parse_partition("2,2,1")).to_json_dict(),
+        "reduced-zero-21": _reduced_pair_doc(),
+        "reduced-bad-lambda": _reduced_pair_doc(lam=1),
+        "list": [[0]],
+        "number": 3,
+        "null": None,
+        "bool-entry": {"field": "gf2", "rows": [[True]]},
+        "string-entry": {"field": "gf:5", "rows": [["x"]]},
+        "ragged": {"field": "gf2", "rows": [[0, 0], [0]]},
+        "field-gf4": {"field": "gf:4", "rows": [[0]]},
+    }
+    texts = {f"{name}.json": json.dumps(doc) for name, doc in docs.items()}
+    texts.update({"truncated.json": "{", "empty.json": ""})
+    return texts
+
+
+_INPUT_DOCS = _input_docs()
+
+
+def _flags(command):
+    """(required, optional) flags of a command, each with its value strategy."""
+    part, field, size = st.sampled_from(_PARTITION_TEXTS), st.sampled_from(_FIELD_NAMES), st.sampled_from(_SIZES)
+    fmt = [("--format", st.sampled_from(["json", "csv", "xml"]))]
+    return {
+        "check": ([("--mu", part), ("--nu", part)], []),
+        "enumerate": ([("--mu", part)], fmt),
+        "witness": ([("--mu", part), ("--nu", part)], [("--field", field)]),
+        "reduce": ([("--mu", part), ("--input", st.sampled_from(sorted(_INPUT_DOCS)))], []),
+        "shape": ([("--input", st.sampled_from(sorted(_INPUT_DOCS)))], []),
+        "vnab": ([("--n", size), ("--a", size), ("--b", size)], fmt),
+        "components": ([("--n", size), ("--j", size)], fmt),
+        "verify": (
+            [("--mu", part), ("--budget", st.integers(-1, 10**4).map(str))],
+            [
+                ("--field", field),
+                ("--mode", st.sampled_from(["exhaustive", "sample", "both"])),
+                ("--samples", st.sampled_from(_SAMPLE_COUNTS)),
+                ("--seed", st.integers(-(10**30), 10**30).map(str)),
+            ],
+        ),
+        "roundtrip": ([("--mu", part), ("--nu", part)], [("--field", field)]),
+    }[command]
+
+
+@st.composite
+def _argv(draw):
+    commands = ["check", "enumerate", "witness", "reduce", "shape", "vnab", "components", "verify", "roundtrip"]
+    command = draw(st.sampled_from(commands))
+    required, optional = _flags(command)
+    flags = [(name, draw(s)) for name, s in required]
+    flags += [(name, draw(s)) for name, s in optional if draw(st.booleans())]
+    noise = draw(st.sampled_from(["none"] * 4 + ["drop-a-flag", "unknown-flag"]))
+    if noise == "drop-a-flag" and flags[0][0] not in ("--budget", "--input"):
+        flags = flags[1:]
+    argv = [command] + [x for pair in flags for x in pair]
+    return argv + ["--bogus"] if noise == "unknown-flag" else argv
+
+
+@pytest.fixture(scope="module")
+def input_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cli-inputs")
+    for name, text in _INPUT_DOCS.items():
+        (root / name).write_text(text)
+    return root
+
+
+@settings(max_examples=200)  # nine commands: the profile's 40 would leave some nearly undrawn
+@given(argv=_argv())
+@example(argv=["verify", "--mu", "", "--budget", "100"])
+@example(argv=["verify", "--mu", "", "--mode", "sample", "--samples", "50", "--budget", "100"])
+def test_cli_exit_code_contract(input_dir, argv):
+    # the exit code is 0, 1, 2 or 3, or argparse raises SystemExit(2) with
+    # nothing on stdout, and nothing else escapes; stdout holds one JSON
+    # document, or CSV lines of partitions for --format csv with exit 0
+    argv = [str(input_dir / a) if i and argv[i - 1] == "--input" else a for i, a in enumerate(argv)]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2 and out.getvalue() == ""
+            return
+    assert code in (0, 1, 2, 3)
+    text = out.getvalue()
+    if code == 0 and "--format" in argv and argv[argv.index("--format") + 1] == "csv":
+        assert text == "" or text.endswith("\n")
+        for line in text.splitlines():
+            cells = [line] if argv[0] == "enumerate" else next(csv.reader([line]))
+            assert len(cells) == (1 if argv[0] == "enumerate" else 2)
+            for cell in cells:
+                parse_partition(cell)
+    else:
+        json.loads(text)

@@ -14,9 +14,7 @@ from nilpairs.reduction import (
     ReductionError,
     _verify,
     is_reduced,
-    jordanize_ones,
     reduce,
-    reduce_stages,
 )
 from nilpairs.structure import (
     free_coordinates,
@@ -134,9 +132,8 @@ def test_reduce_preconditions():
 
 @pytest.mark.parametrize("field", [GF2, GF(5), GF(2**61 - 1), QQ])
 def test_verify_checks_each_member_of_a_stack(field):
-    # the postconditions of a stack: zero-padded rank rows are accepted, and
-    # the distinct (lambda, M) come back with each member's; a wrong rank
-    # row, a member's M or T^-1 from another member are not
+    # the similarity products of a stack: a member's M or T^-1 taken from
+    # another member fails, as row lists and, over GF(p), as integer stacks
     mu = parse_partition("2,2,1,1")
     rnd = random.Random(5)
     originals = []
@@ -147,45 +144,60 @@ def test_verify_checks_each_member_of_a_stack(field):
         b = rnd.randint(0, 1)
         rows[4][4] = rows[5][5] = rows[4 + b][5 - b] = 0  # A22 strictly triangular
         originals.append(ExactMatrix(field, rows))
-    stages = [reduce_stages(a, mu, jordanize_ones(a.submatrix(4, 6, 4, 6))) for a in originals]
-    pairs = [p for p, _ in stages]
-    lams = sorted({p.lam for p in pairs})
-    lam_id = np.array([lams.index(p.lam) for p in pairs])
+    pairs = [reduce(a, mu, validate=False) for a in originals]
+    tinvs = [p.transform.inverse() for p in pairs]
 
     def reduced(order):
         return (
-            lam_id[order],
-            lams,
             [pairs[i].matrix.rows for i in order],
             [pairs[i].transform.rows for i in order],
-            [stages[i][1].rows for i in order],
+            [tinvs[i].rows for i in order],
         )
 
     same = list(range(8)) + [0]  # member 8 repeats member 0
     rows = [originals[i].rows for i in same]
-    ranks = [(originals[i].rank_sequence() + [0] * 8)[:8] for i in same]  # zero-padded to n + 2
-    first, inverse = _verify(mu, field, rows, reduced(same), ranks)
-    assert len({(p.lam, p.matrix.rows) for p in pairs}) == len(first) > 1 and first[inverse[8]] == 0
-    assert [(pairs[i].lam, pairs[i].matrix.rows) for i in first[inverse]] == [
-        (pairs[i].lam, pairs[i].matrix.rows) for i in same
-    ]
+    _verify(field, rows, *reduced(same))
     other = next(i for i, p in enumerate(pairs) if p.transform != pairs[0].transform)
-    with pytest.raises(ReductionError, match="rank sequence"):  # on a member that is not its pair's first
-        _verify(mu, field, rows, reduced(same), ranks[:-1] + [[6, 0] + [0] * 6])
     with pytest.raises(ReductionError, match="conjugation"):
-        _verify(mu, field, rows, reduced([other] + same[1:]), [ranks[other]] + ranks[1:])
+        _verify(field, rows, *reduced([other] + same[1:]))
     with pytest.raises(ReductionError, match="inverse transform"):
-        wrong = reduced(same)
-        wrong[4][0] = stages[other][1].rows
-        _verify(mu, field, rows, wrong, ranks)
+        ms, ts, tis = reduced(same)
+        tis[0] = tinvs[other].rows
+        _verify(field, rows, ms, ts, tis)
     if field.is_finite:
         # the integer stacks census passes are checked the same way
         dtype = object if field.order > 2**31 else np.int64
         stack = np.array(rows, dtype=dtype)
-        lam_of, ms, ts, tis = reduced(same)[:1] + tuple(np.array(x, dtype=dtype) for x in reduced(same)[2:])
-        _verify(mu, field, stack, (lam_of, lams, ms, ts, tis), ranks)
+        ms, ts, tis = (np.array(x, dtype=dtype) for x in reduced(same))
+        _verify(field, stack, ms, ts, tis)
         with pytest.raises(ReductionError, match="conjugation"):
-            _verify(mu, field, stack[[other] + same[1:]], (lam_of, lams, ms, ts, tis), ranks)
+            _verify(field, stack[[other] + same[1:]], ms, ts, tis)
+        with pytest.raises(ReductionError, match="inverse transform"):
+            _verify(field, stack, ms, ts, tis[[other] + same[1:]])
+
+
+def test_reduce_checks_its_output(monkeypatch):
+    # stages 1-5 planted to do nothing leave A12 and A21 uncleared: not in
+    # reduced form; planted to write another reduced matrix, of other ranks:
+    # the rank sequence check; validate=False returns either unchecked
+    import nilpairs.reduction as reduction
+
+    a, mu = preduction_fixture(), MU_FIXTURE
+    assert not is_reduced(a, mu, LAM_FIXTURE)
+    rows = [[0] * 16 for _ in range(16)]
+    for r, c in [(8, 9), (9, 10), (11, 12), (13, 14)]:  # J_lambda alone
+        rows[r][c] = 1
+    other = ExactMatrix(a.field, rows)
+    assert is_reduced(other, mu, LAM_FIXTURE) and other.rank_sequence() != a.rank_sequence()
+
+    def rewrite(f, core, lam, work, tw, ti, _stage_hook=None):
+        work[:] = [list(r) for r in other.rows]
+
+    for plant, message in ((lambda *args, **kw: None, "not in reduced form"), (rewrite, "rank sequence")):
+        monkeypatch.setattr(reduction, "reduce_rows", plant)
+        with pytest.raises(ReductionError, match=message):
+            reduce(a, mu)
+        reduce(a, mu, validate=False)
 
 
 @pytest.mark.parametrize("field", [GF2, GF3])
