@@ -25,16 +25,17 @@ of successive powers, taken on the corner: `_rank_rows` multiplies a
 corner's power by its ones rows only and ranks it with `_gf2_ranks` or
 `_gfp_ranks`; the rank rows are converted to shapes once per distinct row.
 `verify_shapes` also takes every candidate's shape through the reduction
-and `shape_of_reduced` and demands agreement.  It places a slice of corners
-at a time in n x n integer stacks, the only n x n candidates built, and
-reduces them (`_reduce_slice`): stage 0 of `reduce` once per distinct A22
-block in a batch, its block products as one batched product, and stages
-1-5 once per lambda as masked batched moves on the members' stacks
-(`_reduce_stack`, the twin of the per-matrix `reduction.reduce_rows` that
-`reduce` runs).  `reduce`'s postconditions and the formula then run once
-per distinct (lambda, M) of a batch, kept in one table, where they need M,
-and once per slice where they compare members.  The per-matrix twins of
-the streams and of the census are in `nilpairs.oracles`.
+and the closed-form formula and demands agreement.  It places a slice of
+corners at a time in n x n integer stacks, the only n x n candidates built,
+and reduces them (`_reduce_slice`): stage 0 of `reduce` once per distinct
+A22 block in a batch, its block products as one batched product, and
+stages 1-5 once per lambda as masked batched moves on the members' stacks
+(`_reduce_stack`, the twin of `reduction.reduce_rows`).  Each (lambda, M)
+new to the batch is checked once, on one stack per lambda: the reduced-form
+predicate as array tests (`_reduced_mask`), the formula from the running
+ranks of `_gfp_ranks` and batched products (`_reduced_shapes`), and M's
+n x n rank sequence per key.  The per-matrix twins of the streams and of
+the census are in `nilpairs.oracles`.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ import numpy as np
 
 from .fields import FieldSpec
 from .matrix import ExactMatrix, _np_safe
-from .jordan import InternalInconsistency
+from .jordan import InternalInconsistency, _shape_from_counts
 from .partitions import (
     Partition,
     canonical_sorted,
@@ -151,29 +152,30 @@ def _gf2_ranks(rows: np.ndarray, n: int) -> np.ndarray:
 
 
 def _gfp_ranks(mats: np.ndarray, p: int) -> np.ndarray:
-    """Rank of every matrix in a stack (B, m, n) int64 over GF(p), p < 2^31.
+    """Running ranks (B, n + 1) of a stack (B, m, n) over GF(p): column c is the rank of the first c columns.
 
-    Fraction-free forward elimination (row_i <- piv*row_i - a_ic*row_r mod p),
-    so no inverse is taken; every intermediate stays below p^2.  The pivot row
-    is eliminated with the others, to zero, so it is never picked again; rows
-    without an entry in the column are only scaled by the nonzero pivot.
+    mats is int64 while p^2 < 2^62, else Python ints.  Fraction-free forward
+    elimination (row_i <- piv*row_i - a_ic*row_r mod p), so no inverse is
+    taken; every intermediate stays below p^2.  The pivot row is eliminated
+    with the others, to zero, so it is never picked again; rows without an
+    entry in the column are only scaled by the nonzero pivot.
     """
     work = np.remainder(mats, p, order="F")  # the batch axis innermost: each step reads runs of members
-    rank = np.zeros(work.shape[0], dtype=np.int64)
+    ranks = np.zeros((work.shape[0], work.shape[2] + 1), dtype=np.int64)
     bidx = np.arange(work.shape[0])
     for c in range(work.shape[2]):
         col = work[:, :, c]
         avail = col != 0
         has = avail.any(axis=1)
+        ranks[:, c + 1] = ranks[:, c] + has
         if not has.any():
             continue
         pick = avail.argmax(axis=1)
-        rank += has
         factor = np.where(avail, col, 0)
         prow = work[bidx, pick]
         piv = np.where(has, prow[:, c], 1)
         work = (piv[:, None, None] * work - factor[:, :, None] * prow[:, None, :]) % p
-    return rank
+    return ranks
 
 
 # -- batches of candidates ----------------------------------------------------------
@@ -246,7 +248,7 @@ def _rank_rows(corners: np.ndarray, mu: Partition, p: int, bits: bool) -> np.nda
     alive, power = np.flatnonzero(ranks[0]), corners  # members whose last power is nonzero
     for _ in range(n):
         r = np.zeros(b, dtype=np.int64)
-        r[alive] = _gf2_ranks(power, width) if bits else _gfp_ranks(power, p)
+        r[alive] = _gf2_ranks(power, width) if bits else _gfp_ranks(power, p)[:, -1]
         ranks.append(r)
         keep = r[alive] > 0
         alive, power = alive[keep], power[keep]
@@ -498,6 +500,13 @@ def _inverse_mod(v: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
+def _corner_grid(core: Partition, lam: Partition) -> tuple[np.ndarray, ...]:
+    """(first, last, heads, tails): the core blocks' first rows and last columns, the lambda blocks' first and last."""
+    lay = corner_layout(core, lam)
+    co, lo = np.array(lay.co, dtype=np.intp), np.array(lay.lo, dtype=np.intp)
+    return co[:-1], co[1:] - 1, lo[:-1], lo[1:] - 1
+
+
 def _reduce_stack(
     field: FieldSpec, core: Partition, lam: Partition, w: np.ndarray, t: np.ndarray, ti: np.ndarray
 ) -> None:
@@ -517,9 +526,7 @@ def _reduce_stack(
     k, l = lay.k, len(lam)
     b, n = w.shape[0], w.shape[1]
     bidx = np.arange(b)
-    first = np.array(lay.co[:-1], dtype=np.intp)  # core_first(t)
-    last = np.array(lay.co[1:], dtype=np.intp) - 1  # core_last(t)
-    lo = np.array(lay.lo, dtype=np.intp)  # lam_pos(j)
+    first, last, lo, _ = _corner_grid(core, lam)  # core_first(t), core_last(t), lam_pos(j)
     identity = np.tile(np.arange(n, dtype=np.intp), (b, 1))
 
     def add(p, q, xi) -> None:
@@ -683,6 +690,77 @@ def _reduce_slice(mu: Partition, field: FieldSpec, originals: np.ndarray, stage0
     return lam_id, list(lams), w, t, ti
 
 
+def _reduced_mask(mu: Partition, lam: Partition, ms: np.ndarray, p: int) -> np.ndarray:
+    """`reduction.is_reduced` of each member of a stack (B, n, n) over GF(p), entries in [0, p), all of one lambda.
+
+    Its tests as array tests: support on A11's free corners, the corner grids
+    of A12 and A21, and A22 == J_lambda; the A12 corner matrix X 0/1, as many
+    ones as its rank, its running rank rising before it stalls within each
+    run of equal parts; each column of the A21 corner matrix Y leading below
+    the one before (a zero column leads at l), zero columns last.
+    """
+    first, last, heads, tails = _corner_grid(split_core(mu).core, lam)
+    n, base, l = mu.n, mu.n - lam.n, len(lam)
+    support = np.zeros((n, n), dtype=bool)
+    for rows, cols in ((first, last), (first, heads), (tails, last)):
+        support[np.ix_(rows, cols)] = True
+    support[base:, base:] = True
+    x, y = ms[:, first][:, :, heads], ms[:, tails][:, :, last]
+    e1 = _gfp_ranks(x, p)
+    rise = np.diff(e1, axis=1)
+    runs = np.array([a == b for a, b in zip(lam, lam[1:])], dtype=bool)  # lambda block j's part equals j + 1's
+    lead = (np.cumsum(y != 0, axis=1) == 0).sum(axis=1)
+    return (
+        ~(ms[:, ~support] != 0).any(axis=1)
+        & (ms[:, base:, base:] == _jordan_stack(lam)).all(axis=(1, 2))
+        & (x <= 1).all(axis=(1, 2))
+        & ((x != 0).sum(axis=(1, 2)) == e1[:, -1])
+        & ((rise[:, 1:] <= rise[:, :-1]) | ~runs).all(axis=1)
+        & ((lead[:, :-1] < lead[:, 1:]) | (lead[:, 1:] == l)).all(axis=1)
+    )
+
+
+def _chain_profiles(mu: Partition, lam: Partition, ms: np.ndarray, p: int) -> tuple[np.ndarray, ...]:
+    """`jordan.chain_profile` of each member of a stack (B, n, n) of reduced matrices over GF(p), all of one lambda.
+
+    (e1, e2, f, g): e1, e2 (B, l + 1) are the running ranks of X's columns and
+    Y's rows, f, g (B, lambda_1) hold f(s), g(s) at s - 2.  A12 is zero off
+    the core blocks' first rows, so f(s) is the rank of those rows times
+    J^(s-2) A21 at the core blocks' last columns, each member's columns
+    before e2[lambda^T_s] zeroed: one batched product per s.
+    """
+    first, last, heads, tails = _corner_grid(split_core(mu).core, lam)
+    b, base, k, m = ms.shape[0], mu.n - lam.n, len(first), lam.n
+    e1 = _gfp_ranks(ms[:, first][:, :, heads], p)
+    e2 = _gfp_ranks(ms[:, tails][:, :, last].transpose(0, 2, 1), p)
+    a12 = ms[:, first, base:]
+    a21 = np.concatenate([ms[:, base:][:, :, last], np.zeros((b, 1, k), dtype=ms.dtype)], axis=1)  # row m is zero
+    top = lam[0] if lam else 0
+    f, g = np.zeros((b, top), dtype=np.int64), np.zeros((b, top), dtype=np.int64)
+    for s in range(2, top + 2):
+        # J^(s-2): row i of a lambda block takes row i + s - 2 of the same block, else zeros
+        shift = [o + i + s - 2 if i + s - 2 < part else m for o, part in zip(offsets(lam), lam) for i in range(part)]
+        here, prev = sum(x >= s for x in lam), sum(x >= s - 1 for x in lam)
+        keep = np.arange(k) >= e2[:, here, None]
+        f[:, s - 2] = _gfp_ranks(np.where(keep[:, None, :], np.matmul(a12, a21[:, shift]) % p, 0), p)[:, -1]
+        g[:, s - 2] = e1[:, prev] - e1[:, here] + e2[:, prev] - e2[:, here] - 2 * f[:, s - 2]
+    return e1, e2, f, g
+
+
+def _reduced_shapes(mu: Partition, lam: Partition, ms: np.ndarray, rank_a: np.ndarray, p: int) -> list[Partition]:
+    """`jordan.shape_of_reduced` of each member of a stack as `_chain_profiles` takes it, rank_a (B,) their ranks.
+
+    Assembled once per distinct (f, g, rank) row, by `shape_of_reduced`'s own assembly.
+    """
+    _, _, f, g = _chain_profiles(mu, lam, ms, p)
+    first, inverse = _unique_rows(np.concatenate([f, g, rank_a[:, None]], axis=1))
+    shapes = [
+        _shape_from_counts(lam, mu.n, dict(enumerate(fs, 2)), dict(enumerate(gs, 2)), ra)
+        for fs, gs, ra in zip(f[first].tolist(), g[first].tolist(), rank_a[first].tolist())
+    ]
+    return [shapes[i] for i in inverse.tolist()]
+
+
 def verify_shapes(
     mu: Partition,
     field: FieldSpec,
@@ -696,24 +774,25 @@ def verify_shapes(
     Exhaustive mode walks every nilpotent A22 block and crosses it with the
     outer coordinates; sample mode reads the sampled census's stream.  Every
     nilpotent candidate's shape is taken from its batch's rank rows and
-    again through the reduction and shape_of_reduced, a slice of candidates
-    at a time on integer stacks (`_reduce_slice`).  `is_reduced`, M's rank
-    sequence and the formula run once per distinct (lambda, M) of a batch;
-    per slice, the members' rank rows are compared with their M's sequences
-    at once, T T^-1 = I and T a = M T are taken as batched products
+    again through the reduction and the formula, a slice of candidates at a
+    time on integer stacks (`_reduce_slice`).  Each distinct (lambda, M) of a
+    batch is checked once, kept in a table: a slice's new keys of one lambda
+    go through the reduced-form predicate (`_reduced_mask`) and the formula
+    (`_reduced_shapes`) as one stack, and M's n x n rank sequence, apart
+    from the census's rank kernel, is taken per key.  Per slice, the
+    members' rank rows are compared with their M's sequences at once,
+    T T^-1 = I and T a = M T are taken as batched products
     (`reduction._verify`), and the formula is compared with the rank-row
     shape once per pair of classes.  A sample run whose draws held no
-    nilpotent candidate reports `checked: 0` in its details.  Any
-    disagreement (the lowest 20 indices are reported: in exhaustive mode
-    the odometer index, read back from the candidate's free entries, in
-    sample mode the sample index), or any observed shape outside the
-    prediction, yields a mismatch verdict.
-    Exhaustive mode additionally requires every predicted shape to be
-    observed.  The budget bounds the p^F candidates in exhaustive mode and
-    the draws in sample mode; past it, BudgetExceeded is raised before any
-    candidate is built.
+    nilpotent candidate reports `checked: 0` in its details.  A disagreement
+    (the lowest 20 indices are reported: the odometer index, read back from
+    the free entries, or the sample index), an observed shape outside the
+    prediction or, in exhaustive mode, a predicted shape not observed
+    yields a mismatch verdict.  The budget bounds the p^F candidates in
+    exhaustive mode and the draws in sample mode; past it, BudgetExceeded
+    is raised before any candidate is built.
     """
-    from . import jordan, reduction
+    from . import reduction
     from .characterize import enumerate_shapes
 
     mu = Partition(mu)
@@ -742,7 +821,6 @@ def verify_shapes(
     free_rows, free_cols = np.array(lay.free_rows, dtype=np.intp)[:, None], np.array(lay.free_cols, dtype=np.intp)
     full = np.int64 if _np_safe(field, n) else object  # the dual check's n x n stacks, as `_integer_stack` picks
     width = _batch_size(n, _DUAL_CHECK, full)
-    split = split_core(mu)
     disagreements: list[dict] = []
     for mats, drawn in stream:
         bits = mats.dtype == np.uint32
@@ -760,24 +838,23 @@ def verify_shapes(
             originals[:, free_rows, free_cols] = corners
             lam_id, lams, ms, ts, tis = _reduce_slice(mu, field, originals, stage0)
             first, inverse = _unique_rows(np.concatenate([lam_id[:, None], ms.reshape(stop - start, -1)], axis=1))
+            keys = [(lams[d], tuple(map(tuple, rows))) for d, rows in zip(lam_id[first].tolist(), ms[first].tolist())]
+            fresh: dict = {}  # lambda -> numbers of the slice's keys not yet in the table
+            for d, key in enumerate(keys):
+                if key not in checked:
+                    fresh.setdefault(key[0], []).append(d)
+            for lam, ds in fresh.items():
+                stack = ms[first[ds]]
+                if not _reduced_mask(mu, lam, stack, p).all():
+                    raise reduction.ReductionError("pipeline output is not in reduced form")
+                sequences = [ExactMatrix(field, keys[d][1], _canon=False).rank_sequence() for d in ds]
+                rank_a = np.array([seq[1] if n else 0 for seq in sequences], dtype=np.int64)
+                checked.update(zip([keys[d] for d in ds], zip(sequences, _reduced_shapes(mu, lam, stack, rank_a, p))))
             ranks = rank_rows[start:stop]
             seqs = np.zeros((len(first), ranks.shape[1]), dtype=ranks.dtype)
             classes: dict = {}  # formula shape -> its class
             formula_class = []
-            for d, (i, rows) in enumerate(zip(first.tolist(), ms[first].tolist())):
-                key = (lams[lam_id[i]], tuple(map(tuple, rows)))
-                if key not in checked:
-                    matrix = ExactMatrix(field, key[1], _canon=False)
-                    if not reduction.is_reduced(matrix, mu, key[0]):
-                        raise reduction.ReductionError("pipeline output is not in reduced form")
-                    pair = reduction.ReducedPair(
-                        mu_core=split.core,
-                        ones=split.ones,
-                        lam=key[0],
-                        matrix=matrix,
-                        transform=ExactMatrix(field, ts[i].tolist(), _canon=False),
-                    )
-                    checked[key] = (matrix.rank_sequence(), jordan.shape_of_reduced(pair))
+            for d, key in enumerate(keys):
                 seq, formula = checked[key]
                 if len(seq) > ranks.shape[1]:
                     raise reduction.ReductionError("rank sequence changed during reduction")

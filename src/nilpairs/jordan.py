@@ -99,24 +99,27 @@ def shape_of_reduced(r: ReducedPair, profile: ChainProfile | None = None) -> Par
     signals a reduction bug rather than bad user input.
     """
     prof = profile if profile is not None else chain_profile(r)
-    lam = r.lam
+    return _shape_from_counts(r.lam, r.n, prof.f, prof.g, r.matrix.rank())
+
+
+def _shape_from_counts(lam: Partition, n: int, f: dict[int, int], g: dict[int, int], rank_a: int) -> Partition:
+    """`shape_of_reduced`'s assembly from the counts f, g and rk(A); `census` runs it per distinct count row."""
     lengths: list[int] = []
     for j0, j1 in equal_runs(lam):
         part, mult = lam[j0], j1 - j0
-        nf = prof.f.get(part + 1, 0)
-        ng = prof.g.get(part + 1, 0)
+        nf = f.get(part + 1, 0)
+        ng = g.get(part + 1, 0)
         rem = mult - nf - ng
         if ng < 0 or rem < 0:
             raise InternalInconsistency(
                 f"impossible chain counts for part {part}: mult={mult} f={nf} g={ng}"
             )
         lengths.extend([part + 2] * nf + [part + 1] * ng + [part] * rem)
-    rank_a = r.matrix.rank()
     used_rank = sum(length - 1 for length in lengths)
     c = rank_a - used_rank
     if c < 0:
         raise InternalInconsistency(f"negative 2-chain count: rank {rank_a}, chains use {used_rank}")
-    d = r.n - 2 * c - sum(lengths)
+    d = n - 2 * c - sum(lengths)
     if d < 0:
-        raise InternalInconsistency(f"negative 1-chain count: n={r.n}, c={c}, lengths={lengths}")
+        raise InternalInconsistency(f"negative 1-chain count: n={n}, c={c}, lengths={lengths}")
     return ord_parts(lengths + [2] * c + [1] * d)

@@ -425,10 +425,8 @@ def test_verify_mismatch_encoding(monkeypatch):
 def test_verify_disagreements_carry_odometer_indices(monkeypatch):
     # a formula that always answers (n) disagrees with every other nilpotent
     # candidate; the report names them by their odometer index
-    import nilpairs.jordan as jordan
-
     mu = parse_partition("2,1,1")
-    monkeypatch.setattr(jordan, "shape_of_reduced", lambda pair: Partition([mu.n]))
+    monkeypatch.setattr(census, "_reduced_shapes", lambda mu, lam, ms, rank_a, p: [Partition([mu.n])] * len(ms))
     rep = verify_shapes(mu, GF2, mode="exhaustive")
     expected = []
     for i in range(candidate_count(mu, GF2)):
@@ -451,10 +449,8 @@ def test_odometer_index_folds_the_corner_row_major():
 
 def test_verify_sample_disagreements_carry_sample_indices(monkeypatch):
     # the sampled twin: the report names the disagreeing draws by sample index
-    import nilpairs.jordan as jordan
-
     mu = parse_partition("2,2,1")
-    monkeypatch.setattr(jordan, "shape_of_reduced", lambda pair: Partition([mu.n]))
+    monkeypatch.setattr(census, "_reduced_shapes", lambda mu, lam, ms, rank_a, p: [Partition([mu.n])] * len(ms))
     rep = verify_shapes(mu, GF3, mode="sample", samples=300, seed=4)
     expected = []
     for i in range(300):
@@ -629,33 +625,49 @@ def _capture_reduction_keys(patch):
 
 
 def test_verify_checks_each_distinct_reduction_once_per_batch(monkeypatch):
-    # is_reduced and M's rank sequence run once per distinct (lambda, M) of a
-    # stream batch, not once per slice: with slices of 5, the same pairs
-    # recur across the slices of 2,1,1/GF(2)
+    # M's rank sequence runs once per distinct (lambda, M) of a stream batch,
+    # not once per slice, and each of those keys goes through the batched
+    # reduced-form predicate exactly once: with slices of 5, the same pairs
+    # recur across the slices of 2,1,1/GF(2).  The per-matrix predicate and
+    # formula are not called, and no ReducedPair is built
+    import nilpairs.jordan as jordan
     import nilpairs.reduction as reduction
 
     monkeypatch.setattr(census, "_DUAL_CHECK", 5)
-    calls = {"is_reduced": 0, "rank_sequence": 0}
-    is_reduced, rank_sequence = reduction.is_reduced, ExactMatrix.rank_sequence
+    calls = {"is_reduced": 0, "shape_of_reduced": 0, "ReducedPair": 0, "rank_sequence": 0}
 
-    def count_is_reduced(*args):
-        calls["is_reduced"] += 1
-        return is_reduced(*args)
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
 
-    def count_rank_sequence(self):
-        calls["rank_sequence"] += 1
-        return rank_sequence(self)
+        return wrapper
 
-    monkeypatch.setattr(reduction, "is_reduced", count_is_reduced)
-    monkeypatch.setattr(ExactMatrix, "rank_sequence", count_rank_sequence)
+    monkeypatch.setattr(reduction, "is_reduced", counting("is_reduced", reduction.is_reduced))
+    monkeypatch.setattr(jordan, "shape_of_reduced", counting("shape_of_reduced", jordan.shape_of_reduced))
+    monkeypatch.setattr(reduction.ReducedPair, "__init__", counting("ReducedPair", reduction.ReducedPair.__init__))
+    monkeypatch.setattr(ExactMatrix, "rank_sequence", counting("rank_sequence", ExactMatrix.rank_sequence))
     slices = _capture_reduction_keys(monkeypatch)
+    real_mask = census._reduced_mask
+
+    def recording_mask(mu, lam, ms, p):
+        slices.append((None, [(lam, str(x)) for x in ms.tolist()]))  # the keys checked, after their slice
+        return real_mask(mu, lam, ms, p)
+
+    monkeypatch.setattr(census, "_reduced_mask", recording_mask)
     assert verify_shapes(parse_partition("2,1,1"), GF2).verdict == "equal"
-    batches: dict = {}  # stream batch (its stage-0 cache) -> the distinct (lambda, M) of each slice
+    batches: dict = {}  # stream batch (its stage-0 cache) -> (the distinct (lambda, M) of each slice, keys checked)
     for stage0, keys in slices:
-        batches.setdefault(id(stage0), []).append(set(keys))
-    per_batch = sum(len(set().union(*sets)) for sets in batches.values())
-    per_slice = sum(len(keys) for sets in batches.values() for keys in sets)
-    assert calls == {"is_reduced": per_batch, "rank_sequence": per_batch}
+        if stage0 is not None:
+            batch = batches.setdefault(id(stage0), ([], []))
+            batch[0].append(set(keys))
+        else:
+            batch[1].extend(keys)
+    per_batch = sum(len(set().union(*sets)) for sets, _ in batches.values())
+    per_slice = sum(len(keys) for sets, _ in batches.values() for keys in sets)
+    assert calls == {"is_reduced": 0, "shape_of_reduced": 0, "ReducedPair": 0, "rank_sequence": per_batch}
+    for sets, checked in batches.values():
+        assert sorted(checked) == sorted(set().union(*sets))  # each key once
     assert 0 < per_batch < per_slice
 
 
@@ -701,6 +713,101 @@ def test_census_and_verify_of_the_empty_partition(field):
     for mode in ("exhaustive", "sample"):
         rep = verify_shapes(mu, field, mode=mode, samples=5)
         assert rep.verdict == "equal" and rep.observed == (mu,), mode
+
+
+def _reached_reductions(mu, field) -> dict:
+    """lambda -> the distinct reduced M (an integer stack) that verify's reduction reaches over all of mu's candidates.
+
+    Stage 0 conjugates a candidate with an A22 of shape lambda to one with
+    A22 = J_lambda and every outer assignment to another, so reducing J_lambda
+    crossed with every outer assignment (the census's orbit representatives)
+    reaches the same M, also where exhaustive verify is past its budget.
+    """
+    p, n = field.order, mu.n
+    k, size, outer = census._a22_split(mu)
+    lay = pattern_layout(mu)
+    count = p ** len(outer)
+    out = {}
+    for lam in enumerate_partitions(size - k):
+        corners = np.zeros((size * size, count), dtype=np.int64)
+        corners[outer] = census._digits(np.arange(count, dtype=np.int64), len(outer), p)
+        corners = corners.T.reshape(count, size, size)
+        corners[:, k:, k:] = census._jordan_stack(lam)
+        originals = np.zeros((count, n, n), dtype=np.int64)
+        originals[:, np.array(lay.free_rows)[:, None], np.array(lay.free_cols)] = corners
+        _, lams, ms, _, _ = census._reduce_slice(mu, field, originals, {})
+        assert lams == [lam]
+        out[lam] = ms[census._unique_rows(ms.reshape(count, -1))[0]]
+    return out
+
+
+def _assert_batched_formula_matches(mu, field, lam, ms):
+    """The batched predicate, e1, e2, f, g and shape of a stack of reduced M against the per-matrix twins."""
+    from nilpairs.jordan import chain_profile, shape_of_reduced
+    from nilpairs.reduction import ReducedPair, is_reduced
+
+    split, p = split_core(mu), field.order
+    e1, e2, f, g = census._chain_profiles(mu, lam, ms, p)
+    mats = [ExactMatrix(field, x) for x in ms.tolist()]
+    shapes = census._reduced_shapes(mu, lam, ms, np.array([a.rank() for a in mats]), p)
+    assert census._reduced_mask(mu, lam, ms, p).tolist() == [is_reduced(a, mu, lam) for a in mats] == [True] * len(mats)
+    for i, a in enumerate(mats):
+        pair = ReducedPair(split.core, split.ones, lam, a, ExactMatrix.identity(field, mu.n))
+        prof = chain_profile(pair)
+        steps = range(2, (lam[0] if lam else 0) + 2)
+        assert (e1[i].tolist(), e2[i].tolist()) == (list(prof.e1), list(prof.e2)), a.rows
+        assert (f[i].tolist(), g[i].tolist()) == ([prof.f[s] for s in steps], [prof.g[s] for s in steps]), a.rows
+        assert shapes[i] == shape_of_reduced(pair, prof), a.rows
+
+
+@pytest.mark.parametrize("text, field", [("2,1,1", GF2), ("2,2,1", GF3), ("3,2,1,1", GF2), ("2,1,1,1", GF3)])
+def test_batched_formula_matches_chain_profile_on_every_reached_key(text, field):
+    # e1, e2, f, g and the shape of every (lambda, M) the reduction reaches,
+    # taken on one stack per lambda, equal chain_profile and shape_of_reduced
+    mu = parse_partition(text)
+    reached = _reached_reductions(mu, field)
+    assert sum(len(ms) for ms in reached.values()) > 20
+    for lam, ms in reached.items():
+        _assert_batched_formula_matches(mu, field, lam, ms)
+
+
+def test_batched_formula_matches_chain_profile_on_python_int_stacks():
+    # over GF(2^31 - 1) the n x n stacks hold Python ints; the reductions of
+    # seeded nilpotent candidates, one object stack per lambda
+    from nilpairs.reduction import reduce
+    from nilpairs.structure import sample_nilpotent_candidate
+
+    field = GF(2**31 - 1)
+    for text in ("2,1,1", "2,2,1", "3,2,1,1", "2,1,1,1", "3,3,2,1,1"):
+        mu = parse_partition(text)
+        by_lam: dict = {}
+        for seed in range(12):
+            pair = reduce(sample_nilpotent_candidate(mu, field, seed), mu)
+            by_lam.setdefault(pair.lam, []).append(pair.matrix.tolists())
+        for lam, rows in by_lam.items():
+            _assert_batched_formula_matches(mu, field, lam, np.array(rows, dtype=object).reshape(len(rows), mu.n, mu.n))
+
+
+@pytest.mark.parametrize("text, field", [("2,1,1", GF2), ("2,2,1", GF3), ("3,2,1,1", GF2), ("2,1,1,1", GF3)])
+def test_batched_predicate_matches_is_reduced_on_perturbed_keys(text, field):
+    # every single-entry perturbation of every reached M (each position set to
+    # 0, 1 and p - 1) is accepted or refused by the batched predicate exactly
+    # as by is_reduced, so rejections are pinned both ways
+    from nilpairs.reduction import is_reduced
+
+    mu, p = parse_partition(text), field.order
+    for lam, ms in _reached_reductions(mu, field).items():
+        perturbed = set()
+        for x in ms.tolist():
+            for r, c in itertools.product(range(mu.n), repeat=2):
+                for v in {0, 1, p - 1} - {x[r][c]}:
+                    y = [list(row) for row in x]
+                    y[r][c] = v
+                    perturbed.add(tuple(map(tuple, y)))
+        stack = np.array(sorted(perturbed), dtype=np.int64)
+        expected = [is_reduced(ExactMatrix(field, y), mu, lam) for y in stack.tolist()]
+        assert census._reduced_mask(mu, lam, stack, p).tolist() == expected, (text, lam)
+        assert 0 < sum(expected) < len(expected), (text, lam)
 
 
 def test_verify_exhaustive_2111_gf2():
@@ -798,7 +905,9 @@ def test_batched_rank_routines_match_exact_rank():
         for n in range(0, 12):
             mats = _rank_test_stack(rnd, n, p)
             expected = [ExactMatrix(GF(p), m.tolist(), ncols=n).rank() for m in mats]
-            assert _gfp_ranks(mats, p).tolist() == expected, (p, n)
+            running = [ExactMatrix(GF(p), m.tolist(), ncols=n).column_prefix_ranks() for m in mats]
+            assert _gfp_ranks(mats, p).tolist() == running, (p, n)
+            assert _gfp_ranks(mats, p)[:, -1].tolist() == expected, (p, n)
             if p == 2:
                 shifts = np.arange(n, dtype=np.uint32)
                 bits = (mats.astype(np.uint32) << shifts).sum(axis=2, dtype=np.uint32)

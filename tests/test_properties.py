@@ -7,22 +7,26 @@ compared with a triple loop (Fraction over QQ, big ints mod p over
 GF(2^31 - 1)), and the row shift that stands for J_lambda^e in
 `chain_profile` with the product it replaces.  The reduction properties
 use integer inputs whose ones block is a unimodular conjugate of J_lambda,
-which puts the rational path under the same invariants as the GF(p) corpus.
+which puts the rational path under the same invariants as the GF(p) corpus,
+and seeded nilpotent candidates over random primes below 2^31, where the
+batched formula of `verify` must give `shape_of_reduced`'s shape.
 """
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from nilpairs import census
 from nilpairs.characterize import enumerate_shapes
-from nilpairs.fields import GF, GF2, GF3, QQ
+from nilpairs.fields import GF, GF2, GF3, QQ, _is_prime
 from nilpairs.jordan import _jordan_shift, chain_profile, rank_formula, shape_of_reduced
-from nilpairs.matrix import ExactMatrix, jordan_matrix
-from nilpairs.partitions import Partition, enumerate_partitions, from_core
+from nilpairs.matrix import ExactMatrix, _np_safe, jordan_matrix
+from nilpairs.partitions import Partition, enumerate_partitions, from_core, split_core
 from nilpairs.reduction import is_reduced, reduce
-from nilpairs.structure import free_coordinates, matches_annihilating_pattern
+from nilpairs.structure import free_coordinates, matches_annihilating_pattern, sample_nilpotent_candidate
 
 FIELDS = [GF2, GF3, GF(2**31 - 1), QQ]
 
@@ -224,3 +228,37 @@ def test_reduce_invariants_over_qq(case):
     assert shape in enumerate_shapes(mu)
     for s in range(1, (lam[0] if lam else 0) + 1):
         assert rank_formula(pair, s, profile) == pair.matrix.power(s + 1).rank()
+
+
+# -- reduce over random primes -------------------------------------------------------
+
+
+@st.composite
+def primes_below_2_31(draw):
+    """The largest prime at or below a drawn integer in [2, 2^31), small or past the int64 bound of n <= 6."""
+    p = draw(st.one_of(st.integers(2, 2**16), st.integers(2**30, 2**31 - 1)))
+    while not _is_prime(p):
+        p -= 1
+    return p
+
+
+@given(
+    mu=st.sampled_from([mu for n in range(7) for mu in enumerate_partitions(n)]),
+    p=primes_below_2_31(),
+    seed=st.integers(0, 2**32),
+)
+def test_reduce_invariants_over_random_primes(mu, p, seed):
+    # verify's n x n stacks are int64 while products stay exact, else Python
+    # ints; the batched predicate and formula take the reduced M as such a stack
+    field = GF(p)
+    a = sample_nilpotent_candidate(mu, field, seed)
+    pair = reduce(a, mu)
+    m = pair.matrix
+    assert is_reduced(m, mu, pair.lam)
+    t = pair.transform
+    assert t.mul(a).mul(t.inverse()) == m
+    shape = shape_of_reduced(pair)
+    assert shape == a.nilpotent_shape()
+    stack = np.array(m.tolists(), dtype=np.int64 if _np_safe(field, mu.n) else object).reshape(1, mu.n, mu.n)
+    assert census._reduced_mask(mu, pair.lam, stack, p).tolist() == [True]
+    assert census._reduced_shapes(mu, pair.lam, stack, np.array([m.rank()]), p) == [shape]
