@@ -3,43 +3,39 @@
 A candidate (an annihilating-form matrix for mu) is nilpotent exactly when
 its m x m ones block A22 is, and p^(m^2 - m) of the p^(m^2) blocks are
 (Fine-Herstein).  Conjugating by diag(I, P), P in GL_m(p), keeps a candidate
-in the pattern and keeps its shape, and maps the candidates over one A22
-onto those over P A22 P^-1.  So the exhaustive census stacks one J_lambda
-per orbit (lambda a partition of m), crosses the stack with every assignment
-of the outer free coordinates and weights each member's shape by its
-lambda's orbit size |GL_m(p)| / |C(J_lambda)|: p(m) p^(F - m^2) matrices
-stand for the p^(F - m) nilpotent candidates of the p^F; the census's budget
-bounds the matrices it builds.  `verify_shapes` checks every nilpotent
-candidate, so its exhaustive stream walks the A22 blocks in chunks and
-crosses the nilpotent ones the same way; a candidate's free entries are its
-odometer digits, so it carries its own index.  The sampled stream, read by
-the sampled census and `verify_shapes`, draws each sample's A22 first and
-its whole corner only when A22 is nilpotent, and yields those draws, each
-with its sample index.  A candidate is zero outside the K x K corner at
-its free rows and columns (K = k + m, the parts of mu), and its free
-coordinates are that corner in row-major order, so every stream yields
-stacks of corners, A22 at [k:, k:].  A batch holds uint32 bit rows over
-GF(2) while K <= 32, else int64 corners (GF(2) mod 2 beyond), else, once
-K-wide products could pass 2^62, Python ints.  Shapes come from the ranks
-of successive powers, taken on the corner: `_rank_rows` multiplies a
-corner's power by its ones rows only and ranks it with `_gf2_ranks` or
-`_gfp_ranks`; the rank rows are converted to shapes once per distinct row.
-`verify_shapes` also takes every candidate's shape through the reduction
-and the closed-form formula and demands agreement.  It places a slice of
-corners at a time in n x n integer stacks, the only n x n candidates built,
-and reduces them (`_reduce_slice`): stage 0 of `reduce` once per distinct
-A22 block in a batch, its block products as one batched product, and
-stages 1-5 once per lambda as masked batched moves on the members' stacks
-(`_reduce_stack`, the twin of `reduction.reduce_rows`).  Each (lambda, M)
-new to the batch is checked once, on one stack per lambda: the reduced-form
-predicate as array tests (`_reduced_mask`), the formula from the running
-ranks of `_gfp_ranks` and batched products (`_reduced_shapes`), and M's
-n x n rank sequence per key.  The per-matrix twins of the streams and of
-the census are in `nilpairs.oracles`.
+in the pattern and its shape, and maps the candidates over one A22 onto
+those over P A22 P^-1.  So the exhaustive census stacks one J_lambda per
+orbit (lambda a partition of m), crosses the stack with every assignment of
+the outer free coordinates and weights each member's shape by its orbit size
+|GL_m(p)| / |C(J_lambda)|: p(m) p^(F - m^2) matrices, bounded by the budget,
+stand for the p^(F - m) nilpotent candidates.  `verify_shapes` checks every
+nilpotent candidate, so its exhaustive stream crosses the nilpotent A22
+blocks, walked in chunks, the same way; a candidate's free entries are its
+odometer digits, so it carries its own index.  The sampled stream draws each
+sample's A22 first and its whole corner only when A22 is nilpotent.  A
+candidate is zero outside the K x K corner at its free rows and columns
+(K = k + m, the parts of mu), so every stream yields stacks of corners, A22
+at [k:, k:]: uint32 bit rows over GF(2) while K <= 32, else int64 (GF(2)
+mod 2 beyond), else, once K-wide products could pass 2^62, Python ints.
+Shapes come from the ranks of the corner's powers (`_rank_rows`), converted
+to shapes once per distinct rank row.  The kernels: `_gf2_matmul` XORs b's
+row j into the rows holding bit j, `_gf2_ranks` eliminates row by row on
+each row's lowest set bit; integer stacks multiply in the narrowest signed
+dtype holding K (p-1)^2 and `_gfp_ranks` eliminates fraction-free in the
+narrowest holding (p-1)^2, on the columns left (Python ints stay so).
+`verify_shapes` also takes every candidate's shape through the reduction and
+the closed-form formula and demands agreement: it places a slice of corners
+at a time in n x n integer stacks, the only n x n candidates built, and
+reduces them (`_reduce_slice`): stage 0 once per distinct A22 block, stages
+1-5 once per lambda as masked batched moves (`_reduce_stack`, the twin of
+`reduction.reduce_rows`).  Each (lambda, M) new to a batch is checked once:
+the reduced-form predicate (`_reduced_mask`), the formula (`_reduced_shapes`)
+and M's n x n rank sequence.  The per-matrix twins are in `nilpairs.oracles`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 from typing import Iterable, Iterator, Sequence
 
@@ -119,62 +115,73 @@ def _classes(rank_mat: np.ndarray, n: int) -> tuple[list[Partition], np.ndarray,
 
 
 def _gf2_matmul(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """Products of two stacks of n x n bit rows (B, n) uint32, bit c = column c.
+
+    Step j XORs b's row j, times bit j, into every row of every member.
+    """
     out = np.zeros_like(a)
-    for i in range(n):
-        acc = out[:, i]
-        col = a[:, i]
-        for j in range(n):
-            acc ^= (-((col >> np.uint32(j)) & np.uint32(1)).astype(np.int64)).astype(np.uint32) & b[:, j]
-        out[:, i] = acc
+    for j in range(n):
+        out ^= ((a >> j) & 1) * b[:, j][:, None]
     return out
 
 
 def _gf2_ranks(rows: np.ndarray, n: int) -> np.ndarray:
-    """Rank of every matrix in a stack of bit rows (B, n) uint32, bit c = column c.
+    """Rank of every matrix in a stack of n x n bit rows (B, n) uint32, bit c = column c.
 
-    Forward elimination only: per column, the first row holding the bit
-    becomes the pivot and is XORed into every row holding it, itself
-    included, so a pivot row turns zero and is never picked again.
+    Forward elimination row by row on each row's lowest set bit, r & (~r + 1):
+    row i is XORed into every later row holding it.  The rows nonzero at
+    their turn have distinct lowest bits and span the rows, so their count
+    is the rank.  The stack is held transposed, (n, B): steps read runs of members.
     """
-    work = rows.copy()
-    rank = np.zeros(work.shape[0], dtype=np.int64)
-    bidx = np.arange(work.shape[0])
-    for c in range(n):
-        avail = ((work >> np.uint32(c)) & np.uint32(1)).astype(bool)
-        has = avail.any(axis=1)
-        pick = avail.argmax(axis=1)
-        rank += has
-        work ^= np.where(avail, work[bidx, pick][:, None], np.uint32(0))
+    work = rows.T.copy()
+    rank = np.zeros(work.shape[1], dtype=np.int64)
+    for i in range(n):
+        r = work[i]
+        rank += r != 0
+        later = work[i + 1 :]
+        later ^= r * ((later & (r & (~r + 1))) != 0)
     return rank
 
 
 # -- GF(p), batched matmul ---------------------------------------------------------
 
 
+def _exact_dtype(p: int, terms: int = 1):
+    """The narrowest signed dtype holding a sum of `terms` products of residues mod p, else int64 (exact per caller)."""
+    for dt in (np.int8, np.int16, np.int32):
+        if terms * (p - 1) ** 2 <= np.iinfo(dt).max:
+            return dt
+    return np.int64
+
+
 def _gfp_ranks(mats: np.ndarray, p: int) -> np.ndarray:
     """Running ranks (B, n + 1) of a stack (B, m, n) over GF(p): column c is the rank of the first c columns.
 
-    mats is int64 while p^2 < 2^62, else Python ints.  Fraction-free forward
-    elimination (row_i <- piv*row_i - a_ic*row_r mod p), so no inverse is
-    taken; every intermediate stays below p^2.  The pivot row is eliminated
-    with the others, to zero, so it is never picked again; rows without an
-    entry in the column are only scaled by the nonzero pivot.
+    Fraction-free forward elimination (row_i <- piv*row_i - a_ic*row_r mod p),
+    no inverse taken.  Both products lie in [0, (p-1)^2], so an integer stack
+    runs in the narrowest signed dtype holding (p-1)^2 (int8 to p = 11, int16
+    to 181, int32 to 46337, else int64; Python ints stay so).  The pivot row
+    is eliminated with the others, to zero, so it is never picked again, and
+    each step works on the columns left: an eliminated column is zero.
     """
     work = np.remainder(mats, p, order="F")  # the batch axis innermost: each step reads runs of members
+    if work.dtype != object:
+        work = work.astype(_exact_dtype(p), order="F", copy=False)
     ranks = np.zeros((work.shape[0], work.shape[2] + 1), dtype=np.int64)
     bidx = np.arange(work.shape[0])
     for c in range(work.shape[2]):
-        col = work[:, :, c]
+        col = work[:, :, 0]
         avail = col != 0
         has = avail.any(axis=1)
         ranks[:, c + 1] = ranks[:, c] + has
         if not has.any():
+            work = work[:, :, 1:]
             continue
-        pick = avail.argmax(axis=1)
-        factor = np.where(avail, col, 0)
-        prow = work[bidx, pick]
-        piv = np.where(has, prow[:, c], 1)
-        work = (piv[:, None, None] * work - factor[:, :, None] * prow[:, None, :]) % p
+        prow = work[bidx, avail.argmax(axis=1)]
+        piv = np.where(has, prow[:, 0], 1)
+        work = piv[:, None, None] * work[:, :, 1:]
+        work -= col[:, :, None] * prow[:, None, 1:]
+        work %= p
     return ranks
 
 
@@ -223,6 +230,13 @@ def _pack(corners: np.ndarray, dtype) -> np.ndarray:
 
 
 def _nilpotent_mask(mats: np.ndarray, n: int, p: int, bits: bool) -> np.ndarray:
+    """Which members of a stack of n x n matrices over GF(p), entries in [0, p), are nilpotent: A^(2^j) = 0, 2^j >= n.
+
+    Bit rows square with `_gf2_matmul`; an integer stack squares in the
+    narrowest signed dtype holding a product's sums, n (p-1)^2.
+    """
+    if not bits and mats.dtype != object:
+        mats = mats.astype(_exact_dtype(p, n))
     power, e = mats, 1
     while e < n:
         power = _gf2_matmul(power, power, n) if bits else np.matmul(power, power) % p
@@ -238,12 +252,15 @@ def _rank_rows(corners: np.ndarray, mu: Partition, p: int, bits: bool) -> np.nda
     since only a ones block has its first row at its last column, so
     A^s = E B_s F^T with B_1 = B and B_(s+1) = B_s[:, k:] B[k:, :], and
     rk(A^s) = rk(B_s) because E and F have independent columns.  Only
-    members whose last power is nonzero are multiplied again.  The streams
-    pass masked nilpotent stacks, so a nonzero A^n is a bug and raises.
+    members whose last power is nonzero are multiplied again, an integer
+    stack (entries in [0, p)) in the narrowest signed dtype holding K (p-1)^2.
+    The streams pass masked nilpotent stacks, so a nonzero A^n is a bug and raises.
     """
     n, k, width = mu.n, pattern_layout(mu).k, corners.shape[1]
     ones = np.uint32((1 << width) - (1 << k))  # bit mask of the ones columns k..K-1
     b = corners.shape[0]
+    if not bits and corners.dtype != object:
+        corners = corners.astype(_exact_dtype(p, width))
     ranks = [np.full(b, n, dtype=np.int64)]
     alive, power = np.flatnonzero(ranks[0]), corners  # members whose last power is nonzero
     for _ in range(n):
@@ -291,12 +308,8 @@ def _cross_outer(mu: Partition, field: FieldSpec, blocks: Iterable[np.ndarray]) 
     dtype = _dtype(size, field)
     n_outer = p ** len(outer)
     if n_outer > _ODOMETER:
-        raise BudgetExceeded(
-            n_outer,
-            _ODOMETER,
-            f"enumeration needs {n_outer} outer assignments per A22 block, more than the "
-            f"{_ODOMETER} an int64 odometer indexes, whatever the budget",
-        )
+        why = f"more than the {_ODOMETER} an int64 odometer indexes, whatever the budget"
+        raise BudgetExceeded(n_outer, _ODOMETER, f"enumeration needs {n_outer} outer assignments per A22 block, {why}")
     step = _batch_size(size, _BATCH, dtype)
     for kept in blocks:
         total = kept.shape[0] * n_outer
@@ -337,10 +350,7 @@ def _jordan_stack(lam: Partition) -> np.ndarray:
 
 
 def _gl_order(m: int, q: int) -> int:
-    out = 1
-    for i in range(m):
-        out *= q**m - q**i
-    return out
+    return math.prod(q**m - q**i for i in range(m))
 
 
 def _orbit_size(lam: Partition, q: int) -> int:
@@ -352,18 +362,12 @@ def _orbit_size(lam: Partition, q: int) -> int:
     """
     mults = [lam.count(v) for v in set(lam)]
     centralizer = q ** (sum(c * c for c in conjugate(lam)) - sum(k * k for k in mults))
-    for k in mults:
-        centralizer *= _gl_order(k, q)
-    return _gl_order(lam.n, q) // centralizer
+    return _gl_order(lam.n, q) // (centralizer * math.prod(_gl_order(k, q) for k in mults))
 
 
 def _odometer_index(corner: list[list[int]], p: int) -> int:
     """Odometer index of an exhaustive candidate: its corner's entries, row-major, the first most significant."""
-    index = 0
-    for row in corner:
-        for v in row:
-            index = index * p + v
-    return index
+    return sum(v * p**e for e, v in enumerate(reversed([v for row in corner for v in row])))
 
 
 def _sampled_stream(
@@ -771,26 +775,20 @@ def verify_shapes(
 ) -> VerifyReport:
     """Compare predicted shapes against brute force, dual-checking each matrix.
 
-    Exhaustive mode walks every nilpotent A22 block and crosses it with the
-    outer coordinates; sample mode reads the sampled census's stream.  Every
-    nilpotent candidate's shape is taken from its batch's rank rows and
-    again through the reduction and the formula, a slice of candidates at a
-    time on integer stacks (`_reduce_slice`).  Each distinct (lambda, M) of a
-    batch is checked once, kept in a table: a slice's new keys of one lambda
-    go through the reduced-form predicate (`_reduced_mask`) and the formula
-    (`_reduced_shapes`) as one stack, and M's n x n rank sequence, apart
-    from the census's rank kernel, is taken per key.  Per slice, the
-    members' rank rows are compared with their M's sequences at once,
-    T T^-1 = I and T a = M T are taken as batched products
-    (`reduction._verify`), and the formula is compared with the rank-row
-    shape once per pair of classes.  A sample run whose draws held no
-    nilpotent candidate reports `checked: 0` in its details.  A disagreement
-    (the lowest 20 indices are reported: the odometer index, read back from
-    the free entries, or the sample index), an observed shape outside the
-    prediction or, in exhaustive mode, a predicted shape not observed
-    yields a mismatch verdict.  The budget bounds the p^F candidates in
-    exhaustive mode and the draws in sample mode; past it, BudgetExceeded
-    is raised before any candidate is built.
+    Every nilpotent candidate's shape is taken from its batch's rank rows and
+    again through the reduction and the formula.  A slice's new (lambda, M)
+    keys of one lambda go through `_reduced_mask` and `_reduced_shapes` as
+    one stack, and M's n x n rank sequence, apart from the census's rank
+    kernels, is taken per key.  Per slice, the members' rank rows are
+    compared with their M's sequences at once, T T^-1 = I and T a = M T are
+    taken as batched products (`reduction._verify`), and the formula is
+    compared with the rank-row shape once per pair of classes.  A sample run
+    whose draws held no nilpotent candidate reports `checked: 0`.  A
+    disagreement (the lowest 20 indices are reported: the odometer index or
+    the sample index), an observed shape outside the prediction or, in
+    exhaustive mode, a predicted shape not observed yields a mismatch.  The
+    budget bounds the p^F candidates in exhaustive mode and the draws in
+    sample mode; past it, BudgetExceeded is raised before any is built.
     """
     from . import reduction
     from .characterize import enumerate_shapes

@@ -894,24 +894,79 @@ def _rank_test_stack(rnd: np.random.Generator, n: int, p: int) -> np.ndarray:
     mats[0] = 0
     mats[1] = np.triu(mats[1], 1)  # strictly upper triangular: nilpotent
     mats[2] = np.triu(mats[2], 1) + np.eye(n, dtype=np.int64)  # unit triangular: full rank
-    mats[3] = (mats[3][:, :1] * mats[4][:1, :]) % p  # rank <= 1
+    mats[3] = (mats[3][:, :1].astype(object) * mats[4][:1, :]) % p  # rank <= 1, exact past 2^31
     mats[4] = mats[5] * (rnd.integers(0, 4, size=(n, n)) == 0)  # sparse
+    if n >= 3:
+        # rank 2: (p-1) e_0 over the rows c w, w alternating p - 1 and 1, so the
+        # pivot p - 1 scales them to (p-1)^2-sized entries that a dtype too
+        # narrow for (p-1)^2 would wrap at every other column
+        w = np.where(np.arange(n) % 2, p - 1, 1)
+        w[0] = 0
+        mats[5] = np.outer(np.arange(n), w).astype(object) % p
+        mats[5, 0, 0] = p - 1
     return mats
+
+
+# every dtype boundary of _gfp_ranks: int8 holds (p-1)^2 to p = 11, int16 to
+# 181, int32 to 46337; 2^61 - 1 runs on Python ints, as the callers pass it
+RANK_PRIMES = (2, 3, 11, 13, 181, 191, 32003, 46337, 46349, 2**31 - 1, 2**61 - 1)
+
+
+def _exact_stack(mats: np.ndarray, p: int) -> np.ndarray:
+    """mats, as Python ints once (p-1)^2 passes int64: the callers pass such a prime's stacks so."""
+    return mats if (p - 1) ** 2 < 2**63 else mats.astype(object)
 
 
 def test_batched_rank_routines_match_exact_rank():
     rnd = np.random.default_rng(2024)
-    for p in (2, 3, 11, 32003, 2**31 - 1):
+    for p in RANK_PRIMES:
         for n in range(0, 12):
             mats = _rank_test_stack(rnd, n, p)
             expected = [ExactMatrix(GF(p), m.tolist(), ncols=n).rank() for m in mats]
             running = [ExactMatrix(GF(p), m.tolist(), ncols=n).column_prefix_ranks() for m in mats]
-            assert _gfp_ranks(mats, p).tolist() == running, (p, n)
-            assert _gfp_ranks(mats, p)[:, -1].tolist() == expected, (p, n)
+            assert _gfp_ranks(_exact_stack(mats, p), p).tolist() == running, (p, n)
+            assert _gfp_ranks(_exact_stack(mats, p), p)[:, -1].tolist() == expected, (p, n)
             if p == 2:
                 shifts = np.arange(n, dtype=np.uint32)
                 bits = (mats.astype(np.uint32) << shifts).sum(axis=2, dtype=np.uint32)
                 assert _gf2_ranks(bits, n).tolist() == expected, n
+        # wide and tall: _reduced_mask and _chain_profiles rank k x l and l x k corner matrices
+        for rows, cols in ((1, 4), (2, 5), (3, 7), (4, 1), (5, 2), (7, 3), (0, 3), (3, 0)):
+            mats = rnd.integers(0, p, size=(16, rows, cols), dtype=np.int64)
+            mats[0] = 0
+            mats[1] = p - 1
+            mats[2] = (mats[2][:, :1].astype(object) * mats[3][:1, :]) % p  # rank <= 1
+            running = [ExactMatrix(GF(p), m.tolist(), ncols=cols).column_prefix_ranks() for m in mats]
+            assert _gfp_ranks(_exact_stack(mats, p), p).tolist() == running, (p, rows, cols)
+
+
+def _bit_matrix(rows: np.ndarray, width: int) -> ExactMatrix:
+    return ExactMatrix(GF2, [[(r >> c) & 1 for c in range(width)] for r in rows.tolist()], ncols=width)
+
+
+def test_gf2_bit_row_kernels_match_exact_matrix():
+    # widths up to a full uint32 row: at 32, an all-ones row and bit 31 make
+    # ~r + 1 wrap, and a zero row's lowest bit is 0
+    rnd = np.random.default_rng(2026)
+    for width in range(0, 33):
+        full = (1 << width) - 1
+        stacks = rnd.integers(0, full + 1, size=(2, 8, width), dtype=np.uint64).astype(np.uint32)
+        for a in stacks:
+            a[0] = 0
+            a[1] = full
+            a[2, : width // 2] = 0  # rank <= width - width // 2
+            if width:
+                a[3] = 1 << np.arange(width, dtype=np.uint32)  # the identity
+                a[4] |= np.uint32(1 << (width - 1))  # the top bit set in every row
+                a[5] = a[5, 0]  # rank <= 1
+                a[6, 1:] = full
+        a, b = stacks
+        assert _gf2_ranks(a, width).tolist() == [_bit_matrix(m, width).rank() for m in a], width
+        assert _gf2_ranks(b, width).tolist() == [_bit_matrix(m, width).rank() for m in b], width
+        product = census._gf2_matmul(a, b, width)
+        for i in range(a.shape[0]):
+            expected = _bit_matrix(a[i], width).mul(_bit_matrix(b[i], width))
+            assert _bit_matrix(product[i], width) == expected, (width, i)
 
 
 def test_rank_rows_raise_on_a_stack_that_is_not_nilpotent():

@@ -24,7 +24,7 @@ from nilpairs.characterize import enumerate_shapes
 from nilpairs.fields import GF, GF2, GF3, QQ, _is_prime
 from nilpairs.jordan import _jordan_shift, chain_profile, rank_formula, shape_of_reduced
 from nilpairs.matrix import ExactMatrix, _np_safe, jordan_matrix
-from nilpairs.partitions import Partition, enumerate_partitions, from_core, split_core
+from nilpairs.partitions import enumerate_partitions, from_core
 from nilpairs.reduction import is_reduced, reduce
 from nilpairs.structure import free_coordinates, matches_annihilating_pattern, sample_nilpotent_candidate
 
@@ -168,16 +168,6 @@ def test_jordan_shift_matches_the_jordan_power_product(lam, data):
 
 
 @st.composite
-def partitions_of(draw, n):
-    parts = []
-    while n:
-        part = draw(st.integers(1, min(n, parts[-1] if parts else n)))
-        parts.append(part)
-        n -= part
-    return Partition(parts)
-
-
-@st.composite
 def unimodular(draw, m):
     """Integer matrix with an integer inverse: seeded elementary moves and a swap."""
     rows = [[int(i == j) for j in range(m)] for i in range(m)]
@@ -194,10 +184,10 @@ def unimodular(draw, m):
 @st.composite
 def qq_reduce_inputs(draw):
     """(mu, lambda, A): A annihilates J_mu, its ones block is U J_lambda U^-1."""
-    core = draw(partitions_of(draw(st.integers(0, 6))).filter(lambda p: not p or p[-1] >= 2))
-    m = draw(st.integers(1, 5))
+    core = draw(st.sampled_from([c for n in range(7) for c in enumerate_partitions(n) if not c or c[-1] >= 2]))
+    lam = draw(st.sampled_from([lam for m in range(1, 6) for lam in enumerate_partitions(m)]))
+    m = lam.n
     mu = from_core(core, m)
-    lam = draw(partitions_of(m))
     u = draw(unimodular(m))
     a22 = u.mul(jordan_matrix(lam, QQ)).mul(u.inverse())
     n = mu.n
