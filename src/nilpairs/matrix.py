@@ -6,8 +6,9 @@ nilpotent matrix via its rank sequence, and exact nilpotent Jordanization
 with an explicit change of basis.
 
 Elimination has one exact routine per representation: GF(2) rows are
-bit-packed into Python ints, every other field (GF(p) for any prime, and the
-rationals) runs on Python scalars.
+bit-packed into Python ints, GF(p) rows are ints mod p, and QQ elimination is
+fraction-free on integers (primitive integer rows, Fractions only for the
+reduced rows that `kernel_basis` and `inverse` read).
 
 Products (`mul`, and through it `power` and `rank_sequence`; `matvec`) have
 one pure-Python path on integers: a rational row of A and column of B are
@@ -16,8 +17,8 @@ is taken on Python ints, and one Fraction is built per output entry; GF(p)
 entries are integers already and the dots are reduced mod p.  numpy serves
 only `mul` over GF(p), as an int64 product when the entries are small enough
 for exact accumulation.  `power`, `rank_sequence` and `jordanize_nilpotent`
-multiply by one fixed right factor again and again, so they prepare it (its
-integer columns, or its int64 array) once per call (`_right_factor`).
+multiply by one fixed factor again and again, so they prepare it (integer
+columns or rows, or an int64 array) once per call (`_right_factor`, `_vector_map`).
 """
 
 from __future__ import annotations
@@ -182,11 +183,18 @@ class ExactMatrix:
         return acc
 
     def matvec(self, v: list[Element]) -> list[Element]:
+        return self._vector_map()(v)
+
+    def _vector_map(self) -> Callable[[list[Element]], list[Element]]:
+        """v -> self * v; self's rows are scaled to integers once, for every vector."""
         f = self.field
         ia, da = _integer_vectors(self.rows, f)
-        (iv,), (dv,) = _integer_vectors([v], f)
-        dots = [sum(map(operator.mul, ra, iv)) for ra in ia]
-        return _from_integers(dots, f, dv, da)
+
+        def apply(v: list[Element]) -> list[Element]:
+            (iv,), (dv,) = _integer_vectors([v], f)
+            return _from_integers([sum(map(operator.mul, ra, iv)) for ra in ia], f, dv, da)
+
+        return apply
 
     # -- elimination -------------------------------------------------------
 
@@ -291,7 +299,8 @@ class ExactMatrix:
 
     def to_json_dict(self) -> dict:
         f = self.field
-        return {"field": f.name, "rows": [[f.entry_to_json(x) for x in r] for r in self.rows]}
+        to_json = int if f.is_finite else f.entry_to_json
+        return {"field": f.name, "rows": [list(map(to_json, r)) for r in self.rows]}
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "ExactMatrix":
@@ -304,8 +313,10 @@ class ExactMatrix:
         if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
             raise ValueError("matrix JSON needs 'rows' as a list of row lists")
         field = parse_field(doc.get("field"))
-        rows = [[field.entry_from_json(v) for v in r] for r in rows]
-        return cls(field, rows, _canon=False)
+        if field.is_finite and all(type(v) is int for r in rows for v in r):  # no bools
+            p = field.order
+            return cls(field, [[v % p for v in r] for r in rows], _canon=False)
+        return cls(field, [[field.entry_from_json(v) for v in r] for r in rows], _canon=False)
 
 
 # -- products on Python ints (see the module docstring) ----------------------
@@ -335,7 +346,7 @@ def _from_integers(dots: list[int], f: FieldSpec, d: int, scales: list[int]) -> 
 # -- elimination kernels ----------------------------------------------------
 #
 # One echelon routine per representation: GF(2) rows bit-packed into one int
-# each (LSB = column 0), every other field on Python scalars.  Both feed the
+# each (LSB = column 0), GF(p) and QQ rows on Python ints.  Both feed the
 # rows in order into a table keyed by the leading column of each reduced row,
 # so the keys are the pivot columns of leftmost-column pivoting (column c is
 # a pivot iff it is not in the span of the columns before it) and the rank is
@@ -377,20 +388,24 @@ def _echelon_gf2(bits: list[int], reduced: bool = False) -> tuple[list[int], lis
 def _echelon_field(rows, f: FieldSpec, reduced: bool = False) -> tuple[list[int], list[list[Element]]]:
     """Pivot columns of rows over GF(p) or QQ and, with reduced=True, the RREF rows.
 
-    Table rows are scaled to a leading one, so the only inverses taken are
-    one field inverse per pivot.
+    Over GF(p) table rows are scaled to a leading one: one field inverse per
+    pivot.  Over QQ rows (Fractions or ints) are scaled to primitive integer
+    vectors, and w[c] v - v[c] w, divided by the gcd of its entries, clears
+    column c of v against table row w; Fractions are built for the RREF rows only.
     """
     p = f.order if f.is_finite else None
+    if p is None:
+        rows = map(_primitive, _integer_vectors(rows, f)[0])
 
-    def sub_multiple(v, a, w):  # v - a*w
-        if p is None:
-            return [x - a * y if y else x for x, y in zip(v, w)]
-        return [(x - a * y) % p if y else x for x, y in zip(v, w)]
+        def eliminate(v, w, c):  # w[c] v - v[c] w, made primitive
+            a, b = w[c], v[c]
+            return _primitive([a * x - b * y for x, y in zip(v, w)])
 
-    def scaled(v, a):  # a*v
-        if p is None:
-            return [a * x if x else x for x in v]
-        return [a * x % p for x in v]
+    else:
+
+        def eliminate(v, w, c):  # v - v[c] w, w with a leading one at c
+            a = v[c]
+            return [(x - a * y) % p if y else x for x, y in zip(v, w)]
 
     table: dict[int, list[Element]] = {}
     for v in rows:
@@ -398,9 +413,12 @@ def _echelon_field(rows, f: FieldSpec, reduced: bool = False) -> tuple[list[int]
         while c is not None:
             other = table.get(c)
             if other is None:
-                table[c] = scaled(v, f.inv(v[c]))
+                if p is not None:
+                    inv = f.inv(v[c])
+                    v = [x * inv % p for x in v]
+                table[c] = v
                 break
-            v = sub_multiple(v, v[c], other)
+            v = eliminate(v, other, c)
             c = _lead(v, c + 1)
     pivots = sorted(table)
     if not reduced:
@@ -409,9 +427,17 @@ def _echelon_field(rows, f: FieldSpec, reduced: bool = False) -> tuple[list[int]
         row = table[pivots[i]]
         for d in pivots[i + 1 :]:
             if row[d]:
-                row = sub_multiple(row, row[d], table[d])
+                row = eliminate(row, table[d], d)
         table[pivots[i]] = row
+    if p is None:
+        return pivots, [[Fraction(x, table[c][c]) for x in table[c]] for c in pivots]
     return pivots, [table[c] for c in pivots]
+
+
+def _primitive(v: list[int]) -> list[int]:
+    """v divided by the gcd of its entries (v itself if that is 0 or 1)."""
+    g = math.gcd(*v)
+    return [x // g for x in v] if g > 1 else v
 
 
 def _lead(v, start: int) -> int | None:
@@ -469,17 +495,22 @@ def jordanize_nilpotent(m: ExactMatrix) -> tuple[ExactMatrix, Partition]:
 
     # a level's new chain heads are the vectors of K_level outside the span of
     # K_(level-1), the images of the longer chains, and the heads chosen before
-    # them: the pivot columns of [K_(level-1) | images | K_level]
-    heads: list[tuple[list[Element], int]] = []  # (vector, chain length)
+    # them: the pivot columns of [K_(level-1) | images | K_level]; a head h of
+    # length L keeps its orbit [h, m h, ..., m^(L-1) h], one prepared step at a time
+    step = m._vector_map()
+    orbits: list[list[list[Element]]] = []
     for level in range(q, 0, -1):
-        cols = kernels[level - 1] + [powers[lev - level].matvec(h) for h, lev in heads]
+        cols = kernels[level - 1] + [orbit[len(orbit) - level] for orbit in orbits]
         start = len(cols)
         cols += kernels[level]
         pivots, _ = ExactMatrix(f, list(zip(*cols)), ncols=len(cols), _canon=False)._echelon()
-        heads.extend((kernels[level][c - start], level) for c in pivots if c >= start)
+        for c in pivots:
+            if c >= start:
+                orbits.append([kernels[level][c - start]])
+                for _ in range(level - 1):
+                    orbits[-1].append(step(orbits[-1][-1]))
 
-    chains = [[powers[lev - 1 - i].matvec(h) for i in range(lev)] for h, lev in heads]
-    chains.sort(key=len, reverse=True)
+    chains = sorted((orbit[::-1] for orbit in orbits), key=len, reverse=True)
 
     cols = [v for chain in chains for v in chain]
     p_mat = ExactMatrix(f, [[cols[j][i] for j in range(n)] for i in range(n)], _canon=False)

@@ -14,7 +14,8 @@ while accumulating the exact similarity transform.  Every elementary move
 keeps the matrix inside the annihilating pattern for (mu, 1^m); the stages
 only ever touch statically-zero rows/columns on the silent side of each
 conjugation; `reduce` re-verifies its result before returning (`is_reduced`,
-the rank sequence, then the similarity products of `_verify`).
+the rank sequences of input and result, compared on their K x K corners by
+`structure.corner_rank_sequence`, then the similarity products of `_verify`).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 from .fields import FieldSpec
 from .matrix import ExactMatrix, NotNilpotent, _np_safe, jordan_matrix, jordanize_nilpotent
 from .partitions import Partition, equal_runs, from_core, split_core
-from .structure import Layout, corner_layout, matches_annihilating_pattern
+from .structure import Layout, corner_layout, corner_rank_sequence, matches_annihilating_pattern
 
 __all__ = [
     "PreconditionViolated",
@@ -57,31 +58,20 @@ class ReductionError(AssertionError):
 
 
 def _conj_add(field, a, t, ti, p: int, q: int, xi) -> None:
-    """A <- E A E^-1, T <- E T, T^-1 <- T^-1 E^-1 for E = I + xi*e[p,q]."""
+    """A <- E A E^-1, T <- E T, T^-1 <- T^-1 E^-1 for E = I + xi*e[p,q], on the nonzeros of row q and column p."""
     if p == q:
         raise ValueError("elementary conjugation needs distinct positions")
     if xi == field.zero():
         return
-    if field.is_finite:
-        mod = field.order
-        rq = a[q]
-        a[p] = [(x + xi * y) % mod for x, y in zip(a[p], rq)]
-        for row in a:
-            row[q] = (row[q] - xi * row[p]) % mod
-        tq = t[q]
-        t[p] = [(x + xi * y) % mod for x, y in zip(t[p], tq)]
-        for row in ti:
-            row[q] = (row[q] - xi * row[p]) % mod
-        return
-    mul, sub, add = field.mul, field.sub, field.add
-    rq = a[q]
-    a[p] = [add(x, mul(xi, y)) for x, y in zip(a[p], rq)]
-    for row in a:
-        row[q] = sub(row[q], mul(xi, row[p]))
-    tq = t[q]
-    t[p] = [add(x, mul(xi, y)) for x, y in zip(t[p], tq)]
-    for row in ti:
-        row[q] = sub(row[q], mul(xi, row[p]))
+    mod = field.order if field.is_finite else 0
+    for dst, src in ((a[p], a[q]), (t[p], t[q])):
+        for j, y in enumerate(src):
+            if y:
+                dst[j] = (dst[j] + xi * y) % mod if mod else dst[j] + xi * y
+    for rows in (a, ti):
+        for row in rows:
+            if row[p]:
+                row[q] = (row[q] - xi * row[p]) % mod if mod else row[q] - xi * row[p]
 
 
 def _conj_swap(a, t, ti, p: int, q: int) -> None:
@@ -98,14 +88,13 @@ def _conj_swap(a, t, ti, p: int, q: int) -> None:
 def _conj_scale(field, a, t, ti, p: int, alpha) -> None:
     if alpha == field.one():
         return
-    mul = field.mul
-    inv = field.inv(alpha)
-    a[p] = [mul(alpha, x) for x in a[p]]
-    for row in a:
-        row[p] = mul(inv, row[p])
-    t[p] = [mul(alpha, x) for x in t[p]]
-    for row in ti:
-        row[p] = mul(inv, row[p])
+    mul, inv = field.mul, field.inv(alpha)
+    a[p] = [mul(alpha, x) if x else x for x in a[p]]
+    t[p] = [mul(alpha, x) if x else x for x in t[p]]
+    for rows in (a, ti):
+        for row in rows:
+            if row[p]:
+                row[p] = mul(inv, row[p])
 
 
 # -- reduced pair --------------------------------------------------------------
@@ -228,7 +217,8 @@ def reduce(a: ExactMatrix, mu: Partition, validate: bool = True, _stage_hook=Non
     equal lambda blocks so pivot columns come first in each run, (5) column
     echelon reduction of the A21 corner matrix.  The returned pair always
     satisfies transform * a * transform^-1 == matrix exactly; `validate`
-    re-checks it (`is_reduced`, a's rank sequence, then `_verify`).
+    re-checks it (`is_reduced`, the corner rank sequences of a and the
+    result, then `_verify`).
     """
     mu = Partition(mu)
     split = split_core(mu)
@@ -262,7 +252,7 @@ def reduce(a: ExactMatrix, mu: Partition, validate: bool = True, _stage_hook=Non
     if validate:
         if not is_reduced(matrix, mu, lam):
             raise ReductionError("pipeline output is not in reduced form")
-        if matrix.rank_sequence() != a.rank_sequence():
+        if corner_rank_sequence(f, mu, work) != corner_rank_sequence(f, mu, a.rows):
             raise ReductionError("rank sequence changed during reduction")
         _verify(f, [a.rows], [work], [tw], [ti])
     return ReducedPair(mu_core=split.core, ones=split.ones, lam=lam, matrix=matrix, transform=transform)

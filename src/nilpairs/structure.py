@@ -6,22 +6,28 @@ per block.  This module is the one home of that corner layout: `Layout`
 blocks of the ones part and their corners, and the predicates, the free
 coordinates, `reduction`, `jordan`, `characterize` and `census` all read it.
 It also exposes the product-based and the structural (pattern) predicate,
-the list of free coordinates, the size of the candidate space, and seeded
-nilpotent candidates.  Both censuses and `verify` read their candidates in
-batches from one stream per mode in `census`; the per-matrix definitions of
-those streams (`enumerate_candidates`, `candidate_at`, `sample_candidate`)
-live in `nilpairs.oracles`.
+the list of free coordinates, a pattern matrix's rank sequence from its
+K x K corner (`corner_rank_sequence`), the size of the candidate space, and
+seeded nilpotent candidates.  Both censuses and `verify` read their
+candidates in batches from one stream per mode in `census`; the per-matrix
+definitions of those streams (`enumerate_candidates`, `candidate_at`,
+`sample_candidate`) live in `nilpairs.oracles`.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from . import rng
 from .fields import FieldSpec
-from .matrix import ExactMatrix, jordan_matrix
+from .matrix import ExactMatrix, NotNilpotent, jordan_matrix
+from .matrix import _echelon_field, _echelon_gf2, _mul_gf2, _np_safe, _pack_gf2
 from .partitions import Partition, offsets, split_core
 
 __all__ = [
@@ -30,6 +36,7 @@ __all__ = [
     "Layout",
     "corner_layout",
     "pattern_layout",
+    "corner_rank_sequence",
     "is_annihilating_form",
     "matches_annihilating_pattern",
     "free_coordinates",
@@ -124,6 +131,49 @@ def pattern_layout(mu: Partition) -> Layout:
     return corner_layout(split.core, Partition((1,) * split.ones))
 
 
+def corner_rank_sequence(field: FieldSpec, mu: Partition, rows) -> list[int]:
+    """[rk(A^0), rk(A^1), ...] down to the first zero power, for the n x n rows of A in mu's pattern.
+
+    A is zero outside the K x K corner B at the free rows and columns, so
+    rk(A^s) = rk(B_s) with B_1 = B and B_(s+1) = B_s[:, k:] B[k:, :] (see
+    `census._rank_rows`): GF(2) bit rows masked to the ones columns, int64
+    while exact, else Python ints; a rational B = W/d is scaled to integers
+    once (B_s and W_s have one rank).  Raises NotNilpotent if B_n is nonzero.
+    """
+    lay, p = pattern_layout(mu), field.p
+    k, b = lay.k, [[rows[r][c] for c in lay.free_cols] for r in lay.free_rows]
+    if p == 2:
+        b, ones = _pack_gf2(b), -1 << k
+
+        def times(x):
+            return _mul_gf2([r & ones for r in x], b)
+
+    elif p is not None and _np_safe(field, len(b)):
+        tail = np.array(b[k:], dtype=np.int64).reshape(len(b) - k, len(b))
+
+        def times(x):
+            return (np.array(x, dtype=np.int64)[:, k:] @ tail % p).tolist()
+
+    else:
+        if p is None:
+            d = math.lcm(*(x.denominator for r in b for x in r))
+            b = [[x.numerator * (d // x.denominator) for x in r] for r in b]
+        cols = list(zip(*b[k:]))
+
+        def times(x):
+            dots = [[sum(map(operator.mul, r[k:], c)) for c in cols] for r in x]
+            return [[v % p for v in r] for r in dots] if p else dots
+
+    seq, power = [mu.n], b
+    while seq[-1]:
+        if len(seq) > mu.n:
+            raise NotNilpotent("matrix is not nilpotent")
+        if len(seq) > 1:
+            power = times(power)
+        seq.append(len((_echelon_gf2(power) if p == 2 else _echelon_field(power, field))[0]))
+    return seq
+
+
 def free_coordinates(mu: Partition) -> FreeCoordinates:
     """Free positions, row-major: the free rows crossed with the free columns."""
     lay = pattern_layout(mu)
@@ -144,11 +194,8 @@ def matches_annihilating_pattern(a: ExactMatrix, mu: Partition) -> bool:
     """Structural twin of is_annihilating_form: support inside the free coordinates."""
     _require_size(a, mu)
     lay = pattern_layout(mu)
-    rows, cols = set(lay.free_rows), set(lay.free_cols)
-    zero = a.field.zero()
-    return all(
-        v == zero for i, row in enumerate(a.rows) for j, v in enumerate(row) if i not in rows or j not in cols
-    )
+    rows, cols = set(lay.free_rows), [j for j in range(a.ncols) if j not in lay.free_cols]
+    return not any(any(row[j] for j in cols) if i in rows else any(row) for i, row in enumerate(a.rows))
 
 
 def _require_size(a: ExactMatrix, mu: Partition) -> None:

@@ -5,7 +5,7 @@ import json
 import time
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from nilpairs import characterize
@@ -14,7 +14,7 @@ from nilpairs.matrix import ExactMatrix
 from nilpairs.partitions import Partition, enumerate_partitions, format_partition, parse_partition
 from nilpairs.reduction import reduce as reduce_form
 from nilpairs.structure import sample_nilpotent_candidate
-from nilpairs.fields import GF, GF3
+from nilpairs.fields import GF, GF3, parse_field
 
 
 def run_cli(capsys, *argv):
@@ -481,3 +481,110 @@ def test_cli_exit_code_contract(input_dir, argv):
                 parse_partition(cell)
     else:
         json.loads(text)
+
+
+# -- the exit-code contract under any JSON input ------------------------------------
+#
+# reduce and shape read --input files drawn from a grammar of envelopes.  A
+# matrix envelope starts as a seeded nilpotent candidate (its entries shifted
+# by multiples of p, so huge and negative ints occur) or as random rows, and
+# may then get a foreign entry (a bool, a float, a fraction string, "1/0" or
+# other text, null), a ragged, empty or non-list row, non-list rows, and a
+# missing or odd field.  shape reads a reduced-pair document: a real
+# reduction or two envelopes, with mu and lambda that may be wrong or absent.
+
+_JSON_FIELDS = ["gf2", "gf:3", "gf:5", "gf:2147483647", "rational"]
+_ODD_FIELDS = ["gf:4", "gf:", "gf:-7", "gf:" + "9" * 30, "qq", " RATIONAL ", 3, None, True, ["gf2"]]
+_FOREIGN_ENTRIES = st.one_of(
+    st.booleans(),
+    st.floats(),  # NaN and the infinities too: json writes them as bare tokens
+    st.sampled_from(["1/2", "-3/4", "7", "1/0", "0/0", "x", "", " 2 ", "1.5", "2^3"]),
+    st.none(),
+)
+
+
+def _is_foreign(v) -> bool:
+    """A bool, float or null: no field takes it as an entry."""
+    return v is None or isinstance(v, (bool, float))
+
+
+@st.composite
+def _matrix_envelope(draw, mu):
+    n = mu.n
+    field = draw(st.sampled_from(_JSON_FIELDS))
+    if field != "rational" and n and draw(st.booleans()):
+        f = parse_field(field)
+        cand = sample_nilpotent_candidate(mu, f, draw(st.integers(0, 2**32)))
+        rows = [[v + f.order * draw(st.sampled_from([0, 0, -1, 10**30])) for v in r] for r in cand.rows]
+    else:
+        rows = draw(st.lists(st.lists(st.integers(-(10**40), 10**40), min_size=n, max_size=n), min_size=n, max_size=n))
+    if rows and draw(st.integers(0, 3)) == 0:
+        r, c = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        rows[r][c] = draw(_FOREIGN_ENTRIES)
+    shape = draw(st.sampled_from(["square"] * 12 + ["ragged", "empty-row", "non-list-row", "rows-not-list"]))
+    if shape == "ragged" and rows:
+        rows[-1] = rows[-1][:-1] + ([0, 0] if not rows[-1] else [])
+    elif shape == "empty-row":
+        rows.append([])
+    elif shape == "non-list-row":
+        rows.append(draw(st.sampled_from([0, "0", {"0": 0}, None])))
+    elif shape == "rows-not-list":
+        rows = draw(st.sampled_from([{"0": [0]}, "[[0]]", 0, None]))
+    doc = {"rows": rows}
+    field_key = draw(st.sampled_from(["kept"] * 6 + ["odd", "missing"]))
+    if field_key != "missing":
+        doc["field"] = field if field_key == "kept" else draw(st.sampled_from(_ODD_FIELDS))
+    return doc
+
+
+@st.composite
+def _json_request(draw):
+    """(argv without --input, the document, whether the document holds a foreign entry)."""
+    n = draw(st.integers(0, 4))
+    mu = draw(st.sampled_from(list(enumerate_partitions(n)) or [Partition()]))
+    mu_text = draw(st.sampled_from([format_partition(mu)] * 6 + ["1^4", "2,1", "x"]))
+    if draw(st.booleans()):
+        doc = draw(_matrix_envelope(mu))
+        argv = ["reduce", "--mu", mu_text]
+    else:
+        field = parse_field(draw(st.sampled_from(_JSON_FIELDS[:-1])))
+        if n and draw(st.booleans()):
+            doc = reduce_form(sample_nilpotent_candidate(mu, field, draw(st.integers(0, 2**32))), mu).to_json_dict()
+            doc["matrix"]["rows"][-1][-1] = draw(st.one_of(st.just(doc["matrix"]["rows"][-1][-1]), _FOREIGN_ENTRIES))
+        else:
+            doc = {"mu": mu_text, "lambda": format_partition(mu), "matrix": draw(_matrix_envelope(mu))}
+            doc["transform"] = draw(_matrix_envelope(mu))
+        drop = draw(st.sampled_from([None] * 6 + ["mu", "lambda", "matrix", "transform"]))
+        if drop:
+            doc[drop] = draw(st.sampled_from([None, 3, "x"])) if draw(st.booleans()) else doc.pop(drop)
+        argv = ["shape"]
+    if draw(st.integers(0, 19)) == 0:
+        argv = argv[:1]  # reduce without --mu is argparse's usage error; shape still runs
+    rows = [doc.get("rows")] + [m.get("rows") for m in (doc.get("matrix"), doc.get("transform")) if isinstance(m, dict)]
+    foreign = any(_is_foreign(v) for rs in rows if isinstance(rs, list) for r in rs if isinstance(r, list) for v in r)
+    return argv, doc, foreign
+
+
+@settings(max_examples=150)
+@given(request=_json_request())
+def test_cli_json_input_contract(tmp_path_factory, request):
+    # exit 0, 1, 2 or 3, nothing escapes as a traceback, stdout one JSON
+    # document (empty for argparse's usage error), and an entry no field
+    # takes (a bool, a float, null) never decodes
+    argv, doc, foreign = request
+    path = tmp_path_factory.getbasetemp() / "json-input.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv + ["--input", str(path)])
+        except SystemExit as exc:
+            code = exc.code
+            assert code == 2 and out.getvalue() == ""
+    assert "Traceback" not in err.getvalue()
+    assert code in (0, 1, 2, 3)
+    event(f"{argv[0]} exit {code}")
+    if out.getvalue():
+        json.loads(out.getvalue())
+    if foreign:
+        assert code == 2

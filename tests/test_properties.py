@@ -1,7 +1,8 @@
 """Hypothesis properties of the exact elimination cores, the products and `reduce` over QQ.
 
 The cores are checked over GF(2) (bit-packed rows), GF(3), GF(2^31 - 1) and
-QQ (Python scalars).  Matrices are drawn as products of an r x k and a k x c
+QQ (fraction-free on integers; its pivots and reduced rows are also compared
+with a plain Gauss-Jordan on Fractions).  Matrices are drawn as products of an r x k and a k x c
 factor, so every rank from zero to full occurs.  `mul` and `matvec` are
 compared with a triple loop (Fraction over QQ, big ints mod p over
 GF(2^31 - 1)), and the row shift that stands for J_lambda^e in
@@ -12,18 +13,19 @@ and seeded nilpotent candidates over random primes below 2^31, where the
 batched formula of `verify` must give `shape_of_reduced`'s shape.
 """
 
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from nilpairs import census
 from nilpairs.characterize import enumerate_shapes
 from nilpairs.fields import GF, GF2, GF3, QQ, _is_prime
 from nilpairs.jordan import _jordan_shift, chain_profile, rank_formula, shape_of_reduced
-from nilpairs.matrix import ExactMatrix, _np_safe, jordan_matrix
+from nilpairs.matrix import ExactMatrix, _echelon_field, _np_safe, jordan_matrix
 from nilpairs.partitions import enumerate_partitions, from_core
 from nilpairs.reduction import is_reduced, reduce
 from nilpairs.structure import free_coordinates, matches_annihilating_pattern, sample_nilpotent_candidate
@@ -133,6 +135,40 @@ def test_rational_products_match_a_fraction_triple_loop(case):
     assert am.matvec([Fraction(x) for x in v]) == [row[0] for row in naive_product(a, [[x] for x in v], 1, add_mul)]
 
 
+def fraction_gauss_jordan(rows, ncols):
+    """Pivot columns and RREF rows by plain Gauss-Jordan on Fractions."""
+    rows = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    for c in range(ncols):
+        r0 = len(pivots)
+        piv = next((i for i in range(r0, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r0], rows[piv] = rows[piv], rows[r0]
+        rows[r0] = [x / rows[r0][c] for x in rows[r0]]
+        for i, r in enumerate(rows):
+            if i != r0 and r[c]:
+                rows[i] = [x - r[c] * y for x, y in zip(r, rows[r0])]
+        pivots.append(c)
+    return pivots, rows[: len(pivots)]
+
+
+@given(product_operands(WIDE_RATIONALS))
+@example((((0, 3, 0), [], [[], [], []], [0, 0, 0])))  # 0 x k and k x 0
+@example((((3, 0, 2), [[], [], []], [], [])))
+def test_rational_echelon_matches_fraction_gauss_jordan(case):
+    # the fraction-free QQ echelon against Fractions, on products of every
+    # rank with zero rows, and on the factors themselves
+    (r, k, c), a, b, _ = case
+    prod = ExactMatrix(QQ, a, ncols=k).mul(ExactMatrix(QQ, b, ncols=c))
+    for rows, ncols in ((prod.rows, c), (a, k), (b, c)):
+        pivots, rref = fraction_gauss_jordan(rows, ncols)
+        assert _echelon_field(rows, QQ) == (pivots, [])
+        got = _echelon_field(rows, QQ, reduced=True)
+        assert got == (pivots, rref)
+        assert all(type(x) is Fraction for r in got[1] for x in r)
+
+
 @given(product_operands(st.integers(0, 2**31 - 2)))
 def test_large_prime_products_match_a_big_int_reference(case):
     p = 2**31 - 1
@@ -167,36 +203,45 @@ def test_jordan_shift_matches_the_jordan_power_product(lam, data):
 # -- reduce over QQ ----------------------------------------------------------------
 
 
-@st.composite
-def unimodular(draw, m):
+def unimodular(rnd, m):
     """Integer matrix with an integer inverse: seeded elementary moves and a swap."""
     rows = [[int(i == j) for j in range(m)] for i in range(m)]
-    for _ in range(draw(st.integers(0, 2 * m))):
-        p, q = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+    for _ in range(rnd.randint(0, 2 * m)):
+        p, q = rnd.randrange(m), rnd.randrange(m)
         if p != q:
-            xi = draw(st.sampled_from((-2, -1, 1, 2)))
+            xi = rnd.choice((-2, -1, 1, 2))
             rows[p] = [x + xi * y for x, y in zip(rows[p], rows[q])]
-    if m > 1 and draw(st.booleans()):
+    if m > 1 and rnd.random() < 0.5:
         rows[0], rows[-1] = rows[-1], rows[0]
     return ExactMatrix(QQ, rows)
 
 
+QQ_CORES = [c for n in range(7) for c in enumerate_partitions(n) if not c or c[-1] >= 2]
+QQ_LAMBDAS = [lam for m in range(1, 6) for lam in enumerate_partitions(m)]
+
+
 @st.composite
 def qq_reduce_inputs(draw):
-    """(mu, lambda, A): A annihilates J_mu, its ones block is U J_lambda U^-1."""
-    core = draw(st.sampled_from([c for n in range(7) for c in enumerate_partitions(n) if not c or c[-1] >= 2]))
-    lam = draw(st.sampled_from([lam for m in range(1, 6) for lam in enumerate_partitions(m)]))
+    """(mu, lambda, A): A annihilates J_mu, its ones block is U J_lambda U^-1.
+
+    Everything comes from one drawn seed through random.Random: with no
+    other draw, Hypothesis's mutations of an example (which copy spans of
+    repeated draws) cannot keep an earlier example's core, lambda or entries,
+    so every example is a fresh (mu, lambda, A).  The outer entries are
+    fractions with denominators up to 3, or zero.
+    """
+    rnd = random.Random(draw(st.integers(0, 2**64 - 1)))
+    core, lam = rnd.choice(QQ_CORES), rnd.choice(QQ_LAMBDAS)
     m = lam.n
     mu = from_core(core, m)
-    u = draw(unimodular(m))
+    u = unimodular(rnd, m)
     a22 = u.mul(jordan_matrix(lam, QQ)).mul(u.inverse())
     n = mu.n
     base = n - m
     rows = [[Fraction(0)] * n for _ in range(n)]
-    small = st.fractions(min_value=-3, max_value=3, max_denominator=2)
     for r, c in free_coordinates(mu).positions:
         if r < base or c < base:
-            rows[r][c] = draw(st.one_of(st.just(Fraction(0)), small))
+            rows[r][c] = Fraction(rnd.randint(-6, 6), rnd.randint(1, 3)) if rnd.random() < 0.7 else Fraction(0)
     for i in range(m):
         rows[base + i][base:] = a22.rows[i]
     return mu, lam, ExactMatrix(QQ, rows)

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from nilpairs.reduction import (
     PreconditionViolated,
     ReducedPair,
     ReductionError,
+    _conj_add,
+    _conj_scale,
     _verify,
     is_reduced,
     reduce,
@@ -50,6 +53,36 @@ def test_elementary_conjugation_matches_triple_product():
             xi = rnd.randint(-3, 3)
             got = elementary_conjugation(a, i, ri, j, rj, xi, mu)
             assert got == triple_product(a, i, ri, j, rj, xi, mu)
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, GF(2**31 - 1), QQ], ids=lambda f: f.name)
+def test_conj_moves_match_the_products_by_e(field):
+    # the add and scale moves skip zeros; compare A, T and T^-1 with E A E^-1,
+    # E T and T^-1 E^-1 taken by mul, on mostly-zero rows, for E = I + xi*e[p,q]
+    # and for E = I with alpha at (p, p)
+    rnd = random.Random(23)
+
+    def entry():
+        if rnd.random() < 0.6:
+            return 0
+        return rnd.randrange(field.order) if field.is_finite else Fraction(rnd.randint(-9, 9), rnd.randint(1, 5))
+
+    for _ in range(150):
+        n = rnd.randint(2, 6)
+        mats = [ExactMatrix(field, [[entry() for _ in range(n)] for _ in range(n)]) for _ in range(3)]
+        p, q = rnd.sample(range(n), 2)
+        xi = field.canon(entry() or 1)
+        for (i, j), x, x_inv, move in (
+            ((p, q), xi, field.neg(xi), lambda a, t, ti: _conj_add(field, a, t, ti, p, q, xi)),
+            ((p, p), xi, field.inv(xi), lambda a, t, ti: _conj_scale(field, a, t, ti, p, xi)),
+        ):
+            e, e_inv = ExactMatrix.identity(field, n).tolists(), ExactMatrix.identity(field, n).tolists()
+            e[i][j], e_inv[i][j] = x, x_inv
+            e, e_inv = ExactMatrix(field, e), ExactMatrix(field, e_inv)
+            am, tm, tim = mats
+            a, t, ti = (m.tolists() for m in mats)
+            move(a, t, ti)
+            assert [ExactMatrix(field, m) for m in (a, t, ti)] == [e.mul(am).mul(e_inv), e.mul(tm), tim.mul(e_inv)]
 
 
 def test_elementary_conjugation_identity_and_inverse():

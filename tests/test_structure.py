@@ -1,11 +1,15 @@
+import random
+from fractions import Fraction
+
 import pytest
 
-from nilpairs.fields import GF2, GF3, GF
-from nilpairs.matrix import ExactMatrix, jordan_matrix
+from nilpairs.fields import GF2, GF3, GF, QQ
+from nilpairs.matrix import ExactMatrix, NotNilpotent, jordan_matrix
 from nilpairs.partitions import Partition, enumerate_partitions, parse_partition, split_core
 from nilpairs.structure import (
     BudgetExceeded,
     candidate_count,
+    corner_rank_sequence,
     free_coordinates,
     is_annihilating_form,
     matches_annihilating_pattern,
@@ -194,3 +198,75 @@ def test_sampled_shapes_lie_in_predicted_set():
     counts, nilp = sampled_shape_census(mu, GF3, 10000, seed=123)
     assert nilp > 0
     assert set(counts) <= set(enumerate_shapes(mu))
+
+
+def rational_nilpotent_candidate(mu, seed):
+    """A nilpotent matrix of mu's pattern over QQ with non-integral entries.
+
+    The outer free coordinates are fractions; A22 starts strictly upper
+    triangular with fractional entries and is conjugated by elementary
+    moves E = I + xi*e[p,q] with fractional xi.
+    """
+    rnd = random.Random(seed)
+    n = mu.n
+    m = split_core(mu).ones
+    base = n - m
+
+    def frac():
+        return Fraction(rnd.randint(-5, 5), rnd.randint(1, 4)) if rnd.random() < 0.7 else Fraction(0)
+
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for r, c in free_coordinates(mu).positions:
+        if r < base or c < base:
+            rows[r][c] = frac()
+    a22 = [[frac() if j > i else Fraction(0) for j in range(m)] for i in range(m)]
+    for _ in range(2 * m if m > 1 else 0):
+        p, q = rnd.sample(range(m), 2)
+        xi = Fraction(rnd.choice((-3, -1, 1, 2)), rnd.randint(1, 3))
+        a22[p] = [x + xi * y for x, y in zip(a22[p], a22[q])]
+        for row in a22:
+            row[q] -= xi * row[p]
+    for i in range(m):
+        rows[base + i][base:] = a22[i]
+    return ExactMatrix(QQ, rows)
+
+
+CORNER_FIELDS = [GF2, GF3, GF(32003), GF(2**31 - 1), QQ]  # GF(2^31 - 1): the Python-int products
+
+
+@pytest.mark.parametrize("field", CORNER_FIELDS, ids=lambda f: f.name)
+def test_corner_rank_sequence_matches_rank_sequence(field):
+    # the K x K corner products against the n x n powers, on every mu with n <= 8
+    fractional = 0
+    for n in range(9):
+        for mu in enumerate_partitions(n):
+            for seed in range(3):
+                if field.is_finite:
+                    a = sample_nilpotent_candidate(mu, field, seed)
+                else:
+                    a = rational_nilpotent_candidate(mu, seed)
+                    fractional += any(x.denominator != 1 for r in a.rows for x in r)
+                assert corner_rank_sequence(field, mu, a.rows) == a.rank_sequence(), (mu, seed)
+    assert field.is_finite or fractional > 100
+
+
+@pytest.mark.parametrize("field", CORNER_FIELDS, ids=lambda f: f.name)
+def test_corner_rank_sequence_refuses_a_non_nilpotent_matrix(field):
+    checked = 0
+    for mu_text in ("1", "2,1", "2,1,1", "3,2,1,1", "1^4"):
+        mu = parse_partition(mu_text)
+        for seed in range(20):
+            if field.is_finite:
+                a = sample_candidate(mu, field, seed)
+            else:
+                rows = rational_nilpotent_candidate(mu, seed).tolists()
+                base = mu.n - split_core(mu).ones
+                rows[base][base] += 1  # A22 now has trace 1
+                a = ExactMatrix(QQ, rows)
+            if a.is_nilpotent():
+                assert corner_rank_sequence(field, mu, a.rows) == a.rank_sequence()
+                continue
+            checked += 1
+            with pytest.raises(NotNilpotent):
+                corner_rank_sequence(field, mu, a.rows)
+    assert checked >= 20
