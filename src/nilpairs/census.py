@@ -31,13 +31,26 @@ reduces them (`_reduce_slice`): stage 0 once per distinct A22 block, stages
 `reduction.reduce_rows`).  Each (lambda, M) new to a batch is checked once:
 the reduced-form predicate (`_reduced_mask`), the formula (`_reduced_shapes`)
 and M's n x n rank sequence.  The per-matrix twins are in `nilpairs.oracles`.
+
+Write the corner as B = [[X11, X12], [X21, A22]], X11 the k x k block at
+the core blocks' first rows and last columns.  rk(A^s) = rk(B_s) with
+B_1 = B and B_(s+1) = B_s[:, k:] B[k:, :], so B_2 = B[:, k:] B[k:, :] holds
+no X11 entry, nor does any later B_s: rk(A^s), s >= 2, is one for all
+p^(k^2) corners that differ only in X11, and only rk(A) = rk(B) depends on
+it.  So the exhaustive streams (`_cross_outer`) run X11 as the odometer's
+least significant digits and yield each batch in two parts: the groups,
+one corner per (A22 block, X12, X21) with X11 = 0, and the members, each
+group plus every pattern of a fixed table of X11 values (the X11 digits a
+batch cannot hold are group digits, zero only on the table's cells).  The
+census multiplies the powers of the groups only and ranks B once per
+member; `verify` reads the members.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -251,7 +264,8 @@ def _rank_rows(corners: np.ndarray, mu: Partition, p: int, bits: bool) -> np.nda
     and columns and B the K x K corner the batch holds.  F^T E = diag(0_k, I_m),
     since only a ones block has its first row at its last column, so
     A^s = E B_s F^T with B_1 = B and B_(s+1) = B_s[:, k:] B[k:, :], and
-    rk(A^s) = rk(B_s) because E and F have independent columns.  Only
+    rk(A^s) = rk(B_s) because E and F have independent columns (no B_s,
+    s >= 2, holds an X11 entry: see the module docstring).  Only
     members whose last power is nonzero are multiplied again, an integer
     stack (entries in [0, p)) in the narrowest signed dtype holding K (p-1)^2.
     The streams pass masked nilpotent stacks, so a nonzero A^n is a bug and raises.
@@ -280,28 +294,23 @@ def _rank_rows(corners: np.ndarray, mu: Partition, p: int, bits: bool) -> np.nda
     return np.stack(ranks, axis=1)
 
 
-def _add_shape_counts(
-    counts: dict[Partition, int], mats: np.ndarray, mu: Partition, p: int, group=0, weights: Sequence[int] = (1,)
-) -> None:
-    """Add the shapes of nilpotent candidates for mu to `counts`, member i weights[group[i]] times, in Python ints."""
-    shapes, cls, _ = _classes(_rank_rows(mats, mu, p, mats.dtype == np.uint32), mu.n)
-    pairs = np.bincount(cls * len(weights) + group, minlength=len(shapes) * len(weights))
-    for code in np.flatnonzero(pairs).tolist():
-        shape = shapes[code // len(weights)]
-        counts[shape] = counts.get(shape, 0) + weights[code % len(weights)] * int(pairs[code])
-
-
 # -- the candidate streams ------------------------------------------------------------
 
 
-def _cross_outer(mu: Partition, field: FieldSpec, blocks: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
-    """Batches of corners: each A22 block in `blocks` crossed with every outer assignment.
+def _cross_outer(
+    mu: Partition, field: FieldSpec, blocks: Iterable[np.ndarray]
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Batches (groups, members) of corners: each A22 block in `blocks` crossed with every outer assignment.
 
     `blocks` yields integer stacks of nilpotent m x m blocks.  For each block
     in turn the outer free coordinates run as an odometer, the first most
-    significant.  The odometer's indices are int64, so more than 2^63 - 1
-    outer assignments are refused whatever the budget, before any array is
-    built; the callers check their budgets.
+    significant and X11's last (the layout is in the module docstring).  The
+    table holds X11's last t cells, t the most whose p^t patterns fit a
+    batch; member g p^t + i of a batch is its group g plus pattern i, and a
+    batch holds whole groups, at most the batch size in members (with t = 0
+    the members are the groups).  The odometer's indices are int64, so more
+    than 2^63 - 1 outer assignments are refused whatever the budget, before
+    any array is built; the callers check their budgets.
     """
     p = field.order
     k, size, outer = _a22_split(mu)
@@ -311,15 +320,23 @@ def _cross_outer(mu: Partition, field: FieldSpec, blocks: Iterable[np.ndarray]) 
         why = f"more than the {_ODOMETER} an int64 odometer indexes, whatever the budget"
         raise BudgetExceeded(n_outer, _ODOMETER, f"enumeration needs {n_outer} outer assignments per A22 block, {why}")
     step = _batch_size(size, _BATCH, dtype)
+    t = next(t for t in range(k * k, -1, -1) if p**t <= step)
+    x11 = [r * size + c for r in range(k) for c in range(k)][k * k - t :]  # the table's cells
+    cells = [f for f in outer if f not in x11]
+    table = np.zeros((size * size, p**t), dtype=np.int64)
+    table[x11] = _digits(np.arange(p**t, dtype=np.int64), t, p)
+    table = _pack(table.T.reshape(p**t, size, size), dtype)
+    n_groups, per = p ** len(cells), step // p**t
     for kept in blocks:
-        total = kept.shape[0] * n_outer
-        for start in range(0, total, step):
-            j = np.arange(start, min(start + step, total), dtype=np.int64)
+        total = kept.shape[0] * n_groups
+        for start in range(0, total, per):
+            j = np.arange(start, min(start + per, total), dtype=np.int64)
             corners = np.zeros((size * size, j.shape[0]), dtype=np.int64)
-            corners[outer] = _digits(j % n_outer, len(outer), p)
+            corners[cells] = _digits(j % n_groups, len(cells), p)
             corners = corners.T.reshape(j.shape[0], size, size)
-            corners[:, k:, k:] = kept[j // n_outer]
-            yield _pack(corners, dtype)
+            corners[:, k:, k:] = kept[j // n_groups]
+            groups = _pack(corners, dtype)
+            yield groups, groups if t == 0 else (groups[:, None] + table).reshape(-1, *groups.shape[1:])
 
 
 def _nilpotent_a22_walk(mu: Partition, field: FieldSpec) -> Iterator[np.ndarray]:
@@ -414,9 +431,11 @@ def exhaustive_shape_census(
 
     One J_lambda per GL_m orbit of A22, its shapes weighted by the orbit size.
     All J_lambda cross the outer coordinates as one block stack, so a batch
-    can mix lambdas: member j has lambda number j // p^|outer| and its weight.
-    The budget bounds the matrices built, p(m) p^(F - m^2), not the p^F
-    candidates they stand for.
+    can mix lambdas: group j has lambda number j // (groups per lambda), and
+    its members its lambda.  A member's rank row is its group's with rk(B)
+    its own (module docstring), so a batch counts its members per (group's
+    rank row past B, rk B, lambda).  The budget bounds the members built,
+    p(m) p^(F - m^2), not the p^F candidates they stand for.
     """
     mu = Partition(mu)
     if not field.is_finite:
@@ -429,11 +448,31 @@ def exhaustive_shape_census(
         raise BudgetExceeded(built, budget, f"the census builds {built} matrices, budget is {budget}")
     counts: dict[Partition, int] = {}
     weights = [_orbit_size(lam, p) for lam in lams]
-    start = 0
-    for mats in _cross_outer(mu, field, [np.concatenate([_jordan_stack(lam) for lam in lams])]):
-        lam_of = np.arange(start, start + mats.shape[0], dtype=np.int64) // p ** len(outer)
-        _add_shape_counts(counts, mats, mu, p, lam_of, weights)
-        start += mats.shape[0]
+    done = 0  # groups so far
+    for groups, members in _cross_outer(mu, field, [np.concatenate([_jordan_stack(lam) for lam in lams])]):
+        spread = members.shape[0] // groups.shape[0]  # members per group
+        lam_of = np.arange(done, done + groups.shape[0], dtype=np.int64) // (p ** len(outer) // spread)
+        done += groups.shape[0]
+        bits = groups.dtype == np.uint32
+        rows = _rank_rows(groups, mu, p, bits)
+        # a member's B may be nonzero where its group's is 0: a zero power for its row to fall to
+        rows = np.concatenate([rows, np.zeros_like(rows[:, :1])], axis=1)
+        if spread == 1:
+            rank_b = rows[:, 1]
+        else:
+            rank_b = _gf2_ranks(members, size) if bits else _gfp_ranks(members, p)[:, -1]
+        first, chain = _unique_rows(rows[:, 2:])  # the group's ranks past B (rk A^0 = n)
+        pairs = np.bincount(
+            np.repeat(chain * len(lams) + lam_of, spread) * (size + 1) + rank_b,
+            minlength=len(first) * len(lams) * (size + 1),
+        )
+        hit = np.flatnonzero(pairs)
+        (of, lam_id), rb = np.divmod(hit // (size + 1), len(lams)), hit % (size + 1)
+        seqs = rows[first[of]]
+        seqs[:, 1] = rb
+        shapes, cls, _ = _classes(seqs, mu.n)
+        for c, d, count in zip(cls.tolist(), lam_id.tolist(), pairs[hit].tolist()):
+            counts[shapes[c]] = counts.get(shapes[c], 0) + weights[d] * count
     return counts
 
 
@@ -451,7 +490,9 @@ def sampled_shape_census(
     nilp_total = 0
     for mats, _ in _sampled_stream(mu, field, samples, seed):
         nilp_total += mats.shape[0]
-        _add_shape_counts(counts, mats, mu, field.order)
+        shapes, _, sizes = _classes(_rank_rows(mats, mu, field.order, mats.dtype == np.uint32), mu.n)
+        for shape, size in zip(shapes, sizes.tolist()):
+            counts[shape] = counts.get(shape, 0) + size
     return counts, nilp_total
 
 
@@ -808,7 +849,7 @@ def verify_shapes(
         if total > budget:
             raise BudgetExceeded(total, budget)
         walk = _cross_outer(mu, field, _nilpotent_a22_walk(mu, field))
-        stream = ((mats, None) for mats in walk)
+        stream = ((members, None) for _, members in walk)
     elif mode == "sample":
         _check_draws(samples, budget)
         stream = _sampled_stream(mu, field, samples, seed)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -16,7 +17,14 @@ from nilpairs.fields import GF2, GF3, GF
 from nilpairs.jordan import InternalInconsistency
 from nilpairs.matrix import ExactMatrix
 from nilpairs.oracles import candidate_at, reference_shape_census, sample_candidate
-from nilpairs.partitions import Partition, enumerate_partitions, format_partition, parse_partition, split_core
+from nilpairs.partitions import (
+    Partition,
+    conjugate,
+    enumerate_partitions,
+    format_partition,
+    parse_partition,
+    split_core,
+)
 from nilpairs.structure import BudgetExceeded, candidate_count, free_coordinates, pattern_layout
 
 
@@ -175,11 +183,12 @@ CHUNKED_CASES = ("2,2", "3,3", "2,1,1", "3,1,1", "2,2,1", "1,1,1")
 
 def _record_chunks(monkeypatch):
     """Cap batches at 7 candidates and record the sizes of the stacks that
-    `_nilpotent_mask` (A22 chunks) and `_rank_rows` (candidate batches) see."""
+    `_nilpotent_mask` (A22 chunks), `_rank_rows` (candidate batches) and
+    `_cross_outer` (groups and members of each batch) see."""
     monkeypatch.setattr(census, "_BATCH", 7)
     monkeypatch.setattr(census, "_INT64_CELLS", 100)
-    sizes = {"a22": [], "batch": []}
-    mask, rank_rows = census._nilpotent_mask, census._rank_rows
+    sizes = {"a22": [], "batch": [], "groups": [], "members": []}
+    mask, rank_rows, cross = census._nilpotent_mask, census._rank_rows, census._cross_outer
 
     def record_mask(mats, n, p, bits):
         sizes["a22"].append(mats.shape[0])
@@ -189,8 +198,15 @@ def _record_chunks(monkeypatch):
         sizes["batch"].append(mats.shape[0])
         return rank_rows(mats, mu, p, bits)
 
+    def record_cross(mu, field, blocks):
+        for groups, members in cross(mu, field, blocks):
+            sizes["groups"].append(groups.shape[0])
+            sizes["members"].append(members.shape[0])
+            yield groups, members
+
     monkeypatch.setattr(census, "_nilpotent_mask", record_mask)
     monkeypatch.setattr(census, "_rank_rows", record_rank_rows)
+    monkeypatch.setattr(census, "_cross_outer", record_cross)
     return sizes
 
 
@@ -200,43 +216,54 @@ def _corner_cap(mu, field):
     return census._batch_size(size, 7, census._dtype(size, field))
 
 
+def _table_size(mu, p, cap):
+    """Members per group: p^t, t <= k^2 the most X11 digits whose p^t patterns fit a batch of cap."""
+    k = census._a22_split(mu)[0]
+    return max(p**t for t in range(k * k + 1) if p**t <= cap)
+
+
 @pytest.mark.parametrize("field", [GF2, GF3, GF(5)], ids=lambda f: f.name)
 def test_chunked_a22_census_matches_reference(monkeypatch, field):
     # caps small enough that the crossing of all J_lambda with the outer
     # coordinates, one stack, comes in several full batches; the census
-    # walks no A22 block
+    # walks no A22 block, runs the power chain on the groups only, holds at
+    # most the cap in members per batch and builds each member once
     sizes = _record_chunks(monkeypatch)
     for text in CHUNKED_CASES:
         mu = parse_partition(text)
         if candidate_count(mu, field) > 20000:
             continue
-        sizes["a22"].clear()
-        sizes["batch"].clear()
+        for recorded in sizes.values():
+            recorded.clear()
         got = exhaustive_shape_census(mu, field)
         assert got == reference_shape_census(mu, field), (text, field.name)
-        cap = _corner_cap(mu, field)
-        m = split_core(mu).ones
+        cap, m = _corner_cap(mu, field), split_core(mu).ones
+        spread = _table_size(mu, field.order, cap)
         built = len(enumerate_partitions(m)) * field.order ** (len(free_coordinates(mu)) - m * m)
-        assert max(sizes["batch"]) <= cap and not sizes["a22"], text
-        assert sum(sizes["batch"]) == built and len(sizes["batch"]) == -(-built // cap), text
+        assert max(sizes["members"]) <= cap and not sizes["a22"], text
+        assert sum(sizes["members"]) == built and sum(sizes["groups"]) == built // spread, text
+        assert sizes["members"] == [g * spread for g in sizes["groups"]], text
+        assert sizes["batch"] == sizes["groups"], text
+        assert len(sizes["groups"]) == -(-(built // spread) // (cap // spread)), text
 
 
 @pytest.mark.parametrize("field", [GF2, GF3, GF(5)], ids=lambda f: f.name)
 def test_census_weights_each_member_by_its_lambda(monkeypatch, field):
     # every J_lambda crosses the outer coordinates in one stack: under
     # 7-member batches a batch boundary falls inside one lambda's crossing,
-    # one batch holds members of two lambdas, and each member still counts
-    # its own lambda's orbit size.  1^m (k = 0) is checked against the class
-    # sizes, the rest against the per-matrix census
+    # one batch holds members of two lambdas (two A22 blocks), and each
+    # member still counts its own lambda's orbit size.  1^m (k = 0) is
+    # checked against the class sizes, the rest against the per-matrix census
     monkeypatch.setattr(census, "_BATCH", 7)
     monkeypatch.setattr(census, "_INT64_CELLS", 100)
-    batches, real = [], census._add_shape_counts
+    batches, cross = [], census._cross_outer
 
-    def record(counts, mats, mu, p, group=0, weights=(1,)):
-        batches.append(set(np.broadcast_to(group, mats.shape[:1]).tolist()))
-        return real(counts, mats, mu, p, group, weights)
+    def record(mu, field, blocks):
+        for groups, members in cross(mu, field, blocks):
+            batches.append(set(_a22_list(members, census._a22_split(mu)[0])))
+            yield groups, members
 
-    monkeypatch.setattr(census, "_add_shape_counts", record)
+    monkeypatch.setattr(census, "_cross_outer", record)
     mixed, spanning = set(), set()
     for text in ("1,1,1", "1,1,1,1", "2,1", "2,1,1", "2,2,1"):
         mu = parse_partition(text)
@@ -254,8 +281,118 @@ def test_census_weights_each_member_by_its_lambda(monkeypatch, field):
         if any(a & b for a, b in zip(batches, batches[1:])):
             spanning.add(text)
     assert {"1,1,1", "1,1,1,1"} <= mixed and "2,1" in spanning
-    if field.order < 5:  # 2,1,1 has two lambdas and 2^5 or 3^5 outer assignments each
+    if field.order < 5:  # 2,1,1 has two lambdas and 2^4 or 3^4 groups of p members each
         assert "2,1,1" in mixed & spanning
+
+
+def _member_census(mu, field):
+    """The exhaustive census without the groups: every member's own `_rank_rows`
+    chain, weighted by the orbit size of the lambda its A22 block has."""
+    k, size, _ = census._a22_split(mu)
+    p, lams = field.order, enumerate_partitions(size - k)
+    blocks = [census._jordan_stack(lam) for lam in lams]
+    weight = {b[0].tobytes(): census._orbit_size(lam, p) for lam, b in zip(lams, blocks)}
+    counts: dict = {}
+    for _, members in census._cross_outer(mu, field, [np.concatenate(blocks)]):
+        rows = census._rank_rows(members, mu, p, members.dtype == np.uint32)
+        for seq, a22 in zip(rows.tolist(), _a22_list(members, k)):
+            # rk A^(s-1) - rk A^s Jordan blocks have size >= s
+            shape = conjugate(Partition([a - b for a, b in zip(seq, seq[1:]) if a > b]))
+            counts[shape] = counts.get(shape, 0) + weight[a22]
+    return counts
+
+
+def _a22_list(members, k):
+    """Each member's A22 block, as int64 bytes."""
+    if members.dtype == np.uint32:
+        members = members[:, :, None] >> np.arange(members.shape[1], dtype=np.uint32) & np.uint32(1)
+    return [a22.tobytes() for a22 in members[:, k:, k:].astype(np.int64)]
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, GF(5)], ids=lambda f: f.name)
+def test_grouped_census_matches_an_ungrouped_count(monkeypatch, field):
+    # every mu with n <= 5, at the default batch and, where it builds at most
+    # 7,000 members, under 7-member batches: the per-matrix census where it
+    # has at most 20,000 candidates, the class sizes for 1^m (k = 0), else
+    # every member's own power chain.  Over GF(3), 2,2 and 2,2,1 (k = 2) have
+    # 81 X11 patterns, more than 7 members, so X11 digits spill into the groups
+    p, spilled = field.order, set()
+    for n in range(1, 6):
+        for mu in enumerate_partitions(n):
+            k, size, outer = census._a22_split(mu)
+            if candidate_count(mu, field) <= 20000:
+                expected = reference_shape_census(mu, field)
+            elif not k:
+                expected = {s: _nilpotent_class_size(s, p) for s in enumerate_partitions(n)}
+            else:
+                expected = _member_census(mu, field)
+            assert exhaustive_shape_census(mu, field) == expected, (format_partition(mu), field.name)
+            if len(enumerate_partitions(size - k)) * p ** len(outer) > 7000:
+                continue
+            with monkeypatch.context() as patch:
+                patch.setattr(census, "_BATCH", 7)
+                assert exhaustive_shape_census(mu, field) == expected, (format_partition(mu), field.name, 7)
+                if _table_size(mu, p, 7) < p ** (k * k):
+                    spilled.add(format_partition(mu))
+    if p == 3:
+        assert {"2,2", "2,2,1"} <= spilled
+
+
+def test_member_census_is_the_golden_census():
+    # the ungrouped count above is itself exact: on the golden cases past the
+    # per-matrix census it gives the counts of a per-candidate run
+    for text, p in (("2,1,1,1", 3), ("3,2,1,1", 2)):
+        expected = {parse_partition(s): c for s, c in GOLDEN_CENSUS[(text, p)].items()}
+        assert _member_census(parse_partition(text), GF(p)) == expected, text
+
+
+def test_census_ranks_powers_on_the_groups_only(monkeypatch):
+    # 3,2,1,1/GF(2): k = m = 2, so the power chain sees p(2) 2^(2 k m) = 512
+    # group corners (X11 = 0) and B is ranked once on each of the 2 * 2^12 =
+    # 8,192 members; the chain's own ranks never see more than the groups
+    chain, ranked = [], []
+    rank_rows, gf2_ranks = census._rank_rows, census._gf2_ranks
+
+    def record_chain(mats, mu, p, bits):
+        chain.append(mats.shape[0])
+        return rank_rows(mats, mu, p, bits)
+
+    def record_ranks(rows, n):
+        ranked.append(rows.shape[0])
+        return gf2_ranks(rows, n)
+
+    monkeypatch.setattr(census, "_rank_rows", record_chain)
+    monkeypatch.setattr(census, "_gf2_ranks", record_ranks)
+    got = exhaustive_shape_census(parse_partition("3,2,1,1"), GF2)
+    assert got == {parse_partition(s): c for s, c in GOLDEN_CENSUS[("3,2,1,1", 2)].items()}
+    assert chain == [512]
+    assert ranked.count(8192) == 1 and max(r for r in ranked if r != 8192) == 512
+
+
+@pytest.mark.parametrize(
+    "text, field, batch",
+    [("2,1,1", GF2, census._BATCH), ("2,2,1", GF3, 7), ("2,2,1", GF3, 100), ("3,2", GF(5), 7), ("1,1,1", GF3, 7)],
+    ids=lambda v: getattr(v, "name", str(v)),
+)
+def test_cross_outer_members_are_their_groups_plus_x11(monkeypatch, text, field, batch):
+    # verify's stream yields every nilpotent candidate once, as members; a
+    # member differs from its group only in X11, where the group is zero
+    monkeypatch.setattr(census, "_BATCH", batch)
+    mu, p = parse_partition(text), field.order
+    k, size, _ = census._a22_split(mu)
+    seen = []
+    for groups, members in census._cross_outer(mu, field, census._nilpotent_a22_walk(mu, field)):
+        if members.dtype == np.uint32:
+            bit = np.arange(size, dtype=np.uint32)
+            groups, members = (x[:, :, None] >> bit & np.uint32(1) for x in (groups, members))
+        spread = members.shape[0] // groups.shape[0]
+        assert members.shape[0] == spread * groups.shape[0] <= census._batch_size(size, batch, members.dtype.type)
+        diff = members.reshape(groups.shape[0], spread, size, size).astype(np.int64) - groups[:, None]
+        assert not diff[:, :, k:].any() and not diff[:, :, :, k:].any()
+        assert spread == 1 or not groups[:, k - 1, k - 1].any()  # the table's last cell
+        seen += [census._odometer_index(c, p) for c in members.tolist()]
+    nilpotent = p ** (len(free_coordinates(mu)) - split_core(mu).ones)
+    assert len(seen) == len(set(seen)) == nilpotent
 
 
 def test_census_of_ones_ranks_every_lambda_in_one_batch(monkeypatch):
@@ -435,6 +572,22 @@ def test_verify_disagreements_carry_odometer_indices(monkeypatch):
             expected.append(i)
     assert rep.verdict == "mismatch"
     assert [d["index"] for d in rep.details["shape_disagreements"]] == expected[:20]
+
+
+def test_verify_json_of_every_small_mu_is_the_recorded_one(capsys):
+    # verify reads the members of the grouped stream in a new order; its
+    # reports (exit code and stdout) for every mu with n <= 6 over GF(2) and
+    # GF(3), the budget's refusals among them, are byte-identical to the
+    # ones recorded on the stream that ran the outer coordinates row-major
+    from nilpairs.cli import main
+
+    digest = hashlib.sha256()
+    for name in ("gf2", "gf:3"):
+        for n in range(1, 7):
+            for mu in enumerate_partitions(n):
+                code = main(["verify", "--mu", format_partition(mu), "--field", name])
+                digest.update(f"{name} {format_partition(mu)} {code} {capsys.readouterr().out}\n".encode())
+    assert digest.hexdigest() == "ccfc33a7619713270f44abc10270a1770f4b8458a80e81a24cc4b827e39077df"
 
 
 def test_odometer_index_folds_the_corner_row_major():
@@ -1003,10 +1156,11 @@ def _nilpotent_batches(mu, field):
     the first batches of the J_lambda crossings; then the nilpotent seeded draws."""
     count = candidate_count(mu, field)
     if count <= 2**12:
-        yield from census._cross_outer(mu, field, census._nilpotent_a22_walk(mu, field))
+        stream = census._cross_outer(mu, field, census._nilpotent_a22_walk(mu, field))
     else:
         blocks = [census._jordan_stack(lam) for lam in enumerate_partitions(split_core(mu).ones)]
-        yield from itertools.islice(census._cross_outer(mu, field, blocks), 4)
+        stream = itertools.islice(census._cross_outer(mu, field, blocks), 4)
+    yield from (members for _, members in stream)
     yield from _sampled_batches(mu, field)
 
 

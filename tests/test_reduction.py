@@ -8,7 +8,7 @@ from conftest import LAM_FIXTURE, MU_FIXTURE, preduction_fixture, reduced_fixtur
 from nilpairs.fields import GF, GF2, GF3, QQ
 from nilpairs.matrix import ExactMatrix, jordan_matrix
 from nilpairs.oracles import elementary_conjugation, sample_candidate
-from nilpairs.partitions import Partition, enumerate_partitions, offsets, parse_partition
+from nilpairs.partitions import Partition, enumerate_partitions, format_partition, offsets, parse_partition
 from nilpairs.reduction import (
     PreconditionViolated,
     ReducedPair,
@@ -231,6 +231,34 @@ def test_reduce_checks_its_output(monkeypatch):
         with pytest.raises(ReductionError, match=message):
             reduce(a, mu)
         reduce(a, mu, validate=False)
+
+
+def test_reduce_reports_a_non_nilpotent_output_as_its_own_fault(monkeypatch, tmp_path, capsys):
+    # stages 1-5 planted to leave a 1 on A22's diagonal, and the reduced-form
+    # predicate planted to pass it: the rank-sequence check finds the output
+    # not nilpotent, a fault of the reduction (ReductionError, exit 3), not
+    # of the input (NotNilpotent is a ValueError, which would exit 2)
+    import json
+
+    import nilpairs.reduction as reduction
+    from nilpairs.cli import main
+
+    a, mu = preduction_fixture(), MU_FIXTURE
+    real = reduction.reduce_rows
+
+    def planted(f, core, lam, work, tw, ti, _stage_hook=None):
+        real(f, core, lam, work, tw, ti, _stage_hook)
+        work[-1][-1] = f.one()
+
+    monkeypatch.setattr(reduction, "reduce_rows", planted)
+    monkeypatch.setattr(reduction, "is_reduced", lambda *args: True)
+    with pytest.raises(ReductionError, match="rank sequence changed during reduction"):
+        reduce(a, mu)
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps(a.to_json_dict()))
+    assert main(["reduce", "--mu", format_partition(mu), "--input", str(path)]) == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert doc == {"error": "rank sequence changed during reduction", "kind": "internal-inconsistency"}
 
 
 @pytest.mark.parametrize("field", [GF2, GF3])
