@@ -55,7 +55,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .fields import FieldSpec
-from .matrix import ExactMatrix, _np_safe
+from .matrix import ExactMatrix, _np_safe, _shape_of_ranks
 from .jordan import InternalInconsistency, _shape_from_counts
 from .partitions import (
     Partition,
@@ -118,9 +118,7 @@ def _classes(rank_mat: np.ndarray, n: int) -> tuple[list[Partition], np.ndarray,
     dtype = np.int64 if n < 63 else object
     codes = np.bitwise_or.reduce(np.left_shift(np.ones(1, dtype=dtype), rank_mat.astype(dtype)), axis=1)
     _, first, inverse, counts = np.unique(codes, return_index=True, return_inverse=True, return_counts=True)
-    shapes = [
-        conjugate(Partition([a - b for a, b in zip(seq, seq[1:]) if a > b])) for seq in rank_mat[first].tolist()
-    ]
+    shapes = [_shape_of_ranks(seq) for seq in rank_mat[first].tolist()]
     return shapes, inverse, counts
 
 

@@ -81,12 +81,6 @@ class FieldSpec:
     def one(self) -> Element:
         return 1 if self.kind == "gf" else Fraction(1)
 
-    def add(self, a: Element, b: Element) -> Element:
-        return (a + b) % self.p if self.kind == "gf" else a + b
-
-    def sub(self, a: Element, b: Element) -> Element:
-        return (a - b) % self.p if self.kind == "gf" else a - b
-
     def mul(self, a: Element, b: Element) -> Element:
         return (a * b) % self.p if self.kind == "gf" else a * b
 

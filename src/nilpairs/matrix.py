@@ -10,15 +10,21 @@ bit-packed into Python ints, GF(p) rows are ints mod p, and QQ elimination is
 fraction-free on integers (primitive integer rows, Fractions only for the
 reduced rows that `kernel_basis` and `inverse` read).
 
-Products (`mul`, and through it `power` and `rank_sequence`; `matvec`) have
-one pure-Python path on integers: a rational row of A and column of B are
-scaled to integer vectors by the lcm of their denominators, their dot product
-is taken on Python ints, and one Fraction is built per output entry; GF(p)
-entries are integers already and the dots are reduced mod p.  numpy serves
-only `mul` over GF(p), as an int64 product when the entries are small enough
-for exact accumulation.  `power`, `rank_sequence` and `jordanize_nilpotent`
-multiply by one fixed factor again and again, so they prepare it (integer
-columns or rows, or an int64 array) once per call (`_right_factor`, `_vector_map`).
+Products (`mul`, and through it `power`; `matvec`) have one pure-Python
+path on integers: a rational row of A and column of B are scaled to integer
+vectors by the lcm of their denominators, their dot product is taken on
+Python ints, and one Fraction is built per output entry; GF(p) entries are
+integers already and the dots are reduced mod p.  numpy serves `mul` over
+GF(p), as an int64 product when the entries are small enough for exact
+accumulation.  `power` and `jordanize_nilpotent` multiply by one fixed factor
+again and again, so they prepare it (integer columns or rows, or an int64
+array) once per call (`_right_factor`, `_vector_map`).
+
+Rank sequences have one kernel, `_rank_chain`: the ranks of B_1 = B and
+B_(s+1) = B_s[:, k:] B[k:, :].  At k = 0 these are the powers of B
+(`rank_sequence`); at a pattern's k they are the corner products of
+`structure.corner_rank_sequence`.  It multiplies bit rows over GF(2), int64
+or Python ints mod p, and over QQ the matrix scaled once to integers.
 """
 
 from __future__ import annotations
@@ -259,26 +265,7 @@ class ExactMatrix:
         """
         if not self.is_square():
             raise ValueError("rank sequence of a non-square matrix")
-        n = self.nrows
-        seq = [n]
-        if n == 0:
-            return seq
-        if self.field.p == 2:
-            bits = _pack_gf2(self.rows)
-            power = bits
-            for _ in range(n):
-                seq.append(len(_echelon_gf2(power)[0]))
-                if seq[-1] == 0:
-                    return seq
-                power = _mul_gf2(power, bits)
-        else:
-            power, times = self, self._right_factor()
-            for _ in range(n):
-                seq.append(len(_echelon_field(power.rows, self.field)[0]))
-                if seq[-1] == 0:
-                    return seq
-                power = times(power)
-        raise NotNilpotent("matrix is not nilpotent")
+        return _rank_chain(self.field, self.rows, 0, self.nrows)
 
     def is_nilpotent(self) -> bool:
         """A^(2^k) == 0 for the least 2^k >= n, by repeated squaring."""
@@ -291,9 +278,7 @@ class ExactMatrix:
 
     def nilpotent_shape(self) -> Partition:
         """Jordan shape of a nilpotent matrix via its Weyr (rank difference) sequence."""
-        seq = self.rank_sequence()
-        weyr = [seq[i] - seq[i + 1] for i in range(len(seq) - 1)]
-        return conjugate(Partition(weyr))
+        return _shape_of_ranks(self.rank_sequence())
 
     # -- JSON ---------------------------------------------------------------
 
@@ -458,6 +443,54 @@ def _mul_gf2(a_bits: list[int], b_bits: list[int]) -> list[int]:
             ab ^= low
         out.append(acc)
     return out
+
+
+def _rank_chain(f: FieldSpec, b, k: int, n: int) -> list[int]:
+    """[n, rk(B_1), rk(B_2), ...] down to the first zero rank, for the square rows b.
+
+    B_1 = B and B_(s+1) = B_s[:, k:] B[k:, :]; with k = 0 these are the powers
+    of B.  GF(2) rows are bit-packed and masked to the columns from k on,
+    GF(p) products are int64 while exact, else Python ints; a rational B =
+    W/d is scaled to integers once (B_s and W_s have one rank).  Raises
+    NotNilpotent if B_n is nonzero.
+    """
+    p = f.p
+    if p == 2:
+        b, ones = _pack_gf2(b), -1 << k
+
+        def times(x):
+            return _mul_gf2([r & ones for r in x], b)
+
+    elif p is not None and _np_safe(f, len(b)):
+        tail = np.array(b[k:], dtype=np.int64).reshape(len(b) - k, len(b))
+
+        def times(x):
+            return (np.array(x, dtype=np.int64)[:, k:] @ tail % p).tolist()
+
+    else:
+        if p is None:
+            d = math.lcm(*(x.denominator for r in b for x in r))
+            b = [[x.numerator * (d // x.denominator) for x in r] for r in b]
+        cols = list(zip(*b[k:]))
+
+        def times(x):
+            dots = [[sum(map(operator.mul, r[k:], c)) for c in cols] for r in x]
+            return [[v % p for v in r] for r in dots] if p else dots
+
+    seq, power = [n], b
+    while seq[-1]:
+        if len(seq) > n:
+            raise NotNilpotent("matrix is not nilpotent")
+        if len(seq) > 1:
+            power = times(power)
+        seq.append(len((_echelon_gf2(power) if p == 2 else _echelon_field(power, f))[0]))
+    return seq
+
+
+def _shape_of_ranks(seq) -> Partition:
+    """Jordan shape from a rank row [rk(A^0), rk(A^1), ...], zero-padded or not:
+    the conjugate of its positive first differences (the Weyr sequence)."""
+    return conjugate(Partition([a - b for a, b in zip(seq, seq[1:]) if a > b]))
 
 
 # -- Jordan machinery ---------------------------------------------------------

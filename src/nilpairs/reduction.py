@@ -208,17 +208,17 @@ def jordanize_ones(a22: ExactMatrix) -> OnesJordan:
     return OnesJordan(p=p2, pinv=p2.inverse(), lam=lam)
 
 
-def reduce(a: ExactMatrix, mu: Partition, validate: bool = True, _stage_hook=None) -> ReducedPair:
+def reduce(a: ExactMatrix, mu: Partition, _stage_hook=None) -> ReducedPair:
     """Conjugate an annihilating-form nilpotent matrix into reduced form.
 
     Stages: (0) Jordanize A22, (1) clear A12 to corner columns, (2) clear A21
     to corner rows, (3) Gaussian elimination on the A12 corner matrix with
     cross-block column moves repaired back into the pattern, (4) swaps of
     equal lambda blocks so pivot columns come first in each run, (5) column
-    echelon reduction of the A21 corner matrix.  The returned pair always
-    satisfies transform * a * transform^-1 == matrix exactly; `validate`
-    re-checks it (`is_reduced`, the corner rank sequences of a and the
-    result, then `_verify`).
+    echelon reduction of the A21 corner matrix.  The returned pair
+    satisfies transform * a * transform^-1 == matrix exactly, and `reduce`
+    re-checks it before returning (`is_reduced`, the corner rank sequences
+    of a and the result, then `_verify`).
     """
     mu = Partition(mu)
     split = split_core(mu)
@@ -249,16 +249,15 @@ def reduce(a: ExactMatrix, mu: Partition, validate: bool = True, _stage_hook=Non
 
     matrix = ExactMatrix(f, work, _canon=False)
     transform = ExactMatrix(f, tw, _canon=False)
-    if validate:
-        if not is_reduced(matrix, mu, lam):
-            raise ReductionError("pipeline output is not in reduced form")
-        try:  # a is nilpotent (stage 0 checked A22), so NotNilpotent here is the pipeline's fault
-            same = corner_rank_sequence(f, mu, work) == corner_rank_sequence(f, mu, a.rows)
-        except NotNilpotent:
-            same = False
-        if not same:
-            raise ReductionError("rank sequence changed during reduction")
-        _verify(f, [a.rows], [work], [tw], [ti])
+    if not is_reduced(matrix, mu, lam):
+        raise ReductionError("pipeline output is not in reduced form")
+    try:  # a is nilpotent (stage 0 checked A22), so NotNilpotent here is the pipeline's fault
+        same = corner_rank_sequence(f, mu, work) == corner_rank_sequence(f, mu, a.rows)
+    except NotNilpotent:
+        same = False
+    if not same:
+        raise ReductionError("rank sequence changed during reduction")
+    _verify(f, [a.rows], [work], [tw], [ti])
     return ReducedPair(mu_core=split.core, ones=split.ones, lam=lam, matrix=matrix, transform=transform)
 
 

@@ -17,17 +17,12 @@ definitions of those streams (`enumerate_candidates`, `candidate_at`,
 from __future__ import annotations
 
 import itertools
-import math
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from . import rng
 from .fields import FieldSpec
-from .matrix import ExactMatrix, NotNilpotent, jordan_matrix
-from .matrix import _echelon_field, _echelon_gf2, _mul_gf2, _np_safe, _pack_gf2
+from .matrix import ExactMatrix, _rank_chain, jordan_matrix
 from .partitions import Partition, offsets, split_core
 
 __all__ = [
@@ -136,42 +131,11 @@ def corner_rank_sequence(field: FieldSpec, mu: Partition, rows) -> list[int]:
 
     A is zero outside the K x K corner B at the free rows and columns, so
     rk(A^s) = rk(B_s) with B_1 = B and B_(s+1) = B_s[:, k:] B[k:, :] (see
-    `census._rank_rows`): GF(2) bit rows masked to the ones columns, int64
-    while exact, else Python ints; a rational B = W/d is scaled to integers
-    once (B_s and W_s have one rank).  Raises NotNilpotent if B_n is nonzero.
+    `census._rank_rows`), the chain that `ExactMatrix.rank_sequence` runs at
+    k = 0.  Raises NotNilpotent if B_n is nonzero.
     """
-    lay, p = pattern_layout(mu), field.p
-    k, b = lay.k, [[rows[r][c] for c in lay.free_cols] for r in lay.free_rows]
-    if p == 2:
-        b, ones = _pack_gf2(b), -1 << k
-
-        def times(x):
-            return _mul_gf2([r & ones for r in x], b)
-
-    elif p is not None and _np_safe(field, len(b)):
-        tail = np.array(b[k:], dtype=np.int64).reshape(len(b) - k, len(b))
-
-        def times(x):
-            return (np.array(x, dtype=np.int64)[:, k:] @ tail % p).tolist()
-
-    else:
-        if p is None:
-            d = math.lcm(*(x.denominator for r in b for x in r))
-            b = [[x.numerator * (d // x.denominator) for x in r] for r in b]
-        cols = list(zip(*b[k:]))
-
-        def times(x):
-            dots = [[sum(map(operator.mul, r[k:], c)) for c in cols] for r in x]
-            return [[v % p for v in r] for r in dots] if p else dots
-
-    seq, power = [mu.n], b
-    while seq[-1]:
-        if len(seq) > mu.n:
-            raise NotNilpotent("matrix is not nilpotent")
-        if len(seq) > 1:
-            power = times(power)
-        seq.append(len((_echelon_gf2(power) if p == 2 else _echelon_field(power, field))[0]))
-    return seq
+    lay = pattern_layout(mu)
+    return _rank_chain(field, [[rows[r][c] for c in lay.free_cols] for r in lay.free_rows], lay.k, mu.n)
 
 
 def free_coordinates(mu: Partition) -> FreeCoordinates:

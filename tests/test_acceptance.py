@@ -168,7 +168,7 @@ def reduction_corpus_results():
                 reduced = []
                 for seed in range(SEEDS_PER_FIELD):
                     a = sample_nilpotent_candidate(mu, field, seed)
-                    r = reduce(a, mu, validate=False)
+                    r = reduce(a, mu)
                     if not is_reduced(r.matrix, mu, r.lam):
                         stats["not_reduced"] += 1
                     tinv = r.transform.inverse()

@@ -712,7 +712,7 @@ def test_batched_reduction_matches_per_matrix(monkeypatch, text, field, mode, sa
     assert len(seen) == expected > 0
     for rows, lam, mat, t, ti in seen:
         a = ExactMatrix(field, rows)
-        pair = reduction.reduce(a, mu, validate=False)
+        pair = reduction.reduce(a, mu)
         assert (lam, tuple(map(tuple, mat))) == (pair.lam, pair.matrix.rows), rows
         assert (t, ti) == (pair.transform.tolists(), pair.transform.inverse().tolists()), rows
 

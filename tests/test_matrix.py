@@ -148,25 +148,40 @@ def test_jordanize_random_nilpotent(field):
             assert p.inverse().mul(m).mul(p) == jordan_matrix(s, field)
 
 
-@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("field", FIELDS + [GF(2**61 - 1)])
 def test_is_nilpotent_by_squaring(field):
-    # repeated squaring agrees with A^n == 0, from the empty matrix up
-    assert ExactMatrix.zeros(field, 0, 0).is_nilpotent()
-    assert ExactMatrix.zeros(field, 1, 1).is_nilpotent()
-    assert not ExactMatrix.identity(field, 1).is_nilpotent()
+    # repeated squaring agrees with A^n == 0, from the empty matrix up, and
+    # rank_sequence raises NotNilpotent on exactly the matrices it rejects
+    # (GF(2^61 - 1) runs the rank chain on Python ints, past int64)
+    def checked(m):
+        nilpotent = m.is_nilpotent()
+        if nilpotent:
+            seq = m.rank_sequence()
+            assert seq[0] == m.nrows and seq[-1] == 0 and len(seq) <= m.nrows + 1
+        else:
+            with pytest.raises(NotNilpotent):
+                m.rank_sequence()
+        return nilpotent
+
+    assert checked(ExactMatrix.zeros(field, 0, 0))
+    assert ExactMatrix.zeros(field, 0, 0).rank_sequence() == [0]
+    assert checked(ExactMatrix.zeros(field, 1, 1))
+    assert not checked(ExactMatrix.identity(field, 1))
     assert not ExactMatrix.zeros(field, 2, 3).is_nilpotent()
+    with pytest.raises(ValueError, match="non-square"):
+        ExactMatrix.zeros(field, 2, 3).rank_sequence()
     rnd = random.Random(21)
     for n in range(2, 8):
         for shape in enumerate_partitions(n):
             q = random_invertible(field, n, rnd)
             j = jordan_matrix(shape, field)
-            assert q.mul(j).mul(q.inverse()).is_nilpotent()
+            assert checked(q.mul(j).mul(q.inverse()))
             # J_shape with its last diagonal entry set to 1 has the eigenvalue 1
             rows = j.tolists()
             rows[-1][-1] = 1
-            assert not q.mul(ExactMatrix(field, rows)).mul(q.inverse()).is_nilpotent()
+            assert not checked(q.mul(ExactMatrix(field, rows)).mul(q.inverse()))
         m = random_matrix(field, n, n, rnd)
-        assert m.is_nilpotent() == m.power(n).is_zero()
+        assert checked(m) == m.power(n).is_zero()
 
 
 def test_power_early_exit():

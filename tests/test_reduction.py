@@ -177,7 +177,7 @@ def test_verify_checks_each_member_of_a_stack(field):
         b = rnd.randint(0, 1)
         rows[4][4] = rows[5][5] = rows[4 + b][5 - b] = 0  # A22 strictly triangular
         originals.append(ExactMatrix(field, rows))
-    pairs = [reduce(a, mu, validate=False) for a in originals]
+    pairs = [reduce(a, mu) for a in originals]
     tinvs = [p.transform.inverse() for p in pairs]
 
     def reduced(order):
@@ -212,7 +212,7 @@ def test_verify_checks_each_member_of_a_stack(field):
 def test_reduce_checks_its_output(monkeypatch):
     # stages 1-5 planted to do nothing leave A12 and A21 uncleared: not in
     # reduced form; planted to write another reduced matrix, of other ranks:
-    # the rank sequence check; validate=False returns either unchecked
+    # the rank sequence check
     import nilpairs.reduction as reduction
 
     a, mu = preduction_fixture(), MU_FIXTURE
@@ -230,7 +230,6 @@ def test_reduce_checks_its_output(monkeypatch):
         monkeypatch.setattr(reduction, "reduce_rows", plant)
         with pytest.raises(ReductionError, match=message):
             reduce(a, mu)
-        reduce(a, mu, validate=False)
 
 
 def test_reduce_reports_a_non_nilpotent_output_as_its_own_fault(monkeypatch, tmp_path, capsys):
